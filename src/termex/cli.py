@@ -62,7 +62,6 @@ def _load_config(args) -> RunConfig:
         cfg.classifier = type(cfg.classifier)(
             **{**cfg.classifier.__dict__, "seed": args.seed}
         )
-        cfg.crf = type(cfg.crf)(**{**cfg.crf.__dict__, "seed": args.seed})
     return cfg
 
 

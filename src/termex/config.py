@@ -107,7 +107,6 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         learning_rate=_get(emb, "learning_rate", float, base.learning_rate),
         min_count=_get(emb, "min_count", int, base.min_count),
         seed=cfg.seed,
-        workers=_get(emb, "workers", int, base.workers),
     )
 
     cls = _section(parser, "classifier")
@@ -127,7 +126,6 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         epochs=_get(crf, "epochs", int, kbase.epochs),
         learning_rate=_get(crf, "learning_rate", float, kbase.learning_rate),
         l2=_get(crf, "l2", float, kbase.l2),
-        seed=cfg.seed,
         feature_min_count=_get(crf, "feature_min_count", int, kbase.feature_min_count),
         feature_config=FeatureConfig(
             ngram_min=_get(crf, "ngram_min", int, kbase.feature_config.ngram_min),

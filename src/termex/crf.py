@@ -3,6 +3,7 @@ forward-backward, Viterbi decoding, and maximum-likelihood training."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -61,12 +62,22 @@ def _node_scores(emission: np.ndarray, ids_per_position: Sequence[np.ndarray]) -
     return scores
 
 
+def _clique_scores(
+    transition: np.ndarray, node: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log potentials from node scores of shape (..., L, 2): the start
+    scores (..., 2) and the step scores (..., L-1, 2, 2)."""
+    start = transition[BOS] + node[..., 0, :]
+    steps = transition[1:] + node[..., 1:, None, :]
+    return start, steps
+
+
 def _table_from_ids(
     emission: np.ndarray, transition: np.ndarray, ids_per_position: Sequence[np.ndarray]
 ) -> PotentialTable:
-    node = _node_scores(emission, ids_per_position)
-    start = transition[BOS] + node[0]
-    steps = transition[1:][None, :, :] + node[1:, None, :]
+    start, steps = _clique_scores(
+        transition, _node_scores(emission, ids_per_position)
+    )
     return PotentialTable(start=start, steps=steps)
 
 
@@ -84,32 +95,61 @@ def potentials(
     )
 
 
-def _forward(table: PotentialTable) -> np.ndarray:
-    """Log forward scores, shape (L, 2); row i sums over prefixes ending at i."""
-    alphas = np.empty((len(table), 2))
-    alphas[0] = table.start
-    for j, step in enumerate(table.steps):
-        alphas[j + 1] = np.logaddexp.reduce(alphas[j][:, None] + step, axis=0)
+def _forward(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Log forward scores of a batch of equal-length chains, shape (n, L, 2):
+    entry [k, i] sums over the prefixes of chain k that end at i."""
+    alphas = np.empty((len(start), steps.shape[1] + 1, 2))
+    alphas[:, 0] = start
+    for j in range(steps.shape[1]):
+        alphas[:, j + 1] = np.logaddexp.reduce(
+            alphas[:, j, :, None] + steps[:, j], axis=1
+        )
     return alphas
 
 
-def _backward(table: PotentialTable) -> np.ndarray:
-    betas = np.zeros((len(table), 2))
-    for j in range(len(table.steps) - 1, -1, -1):
-        betas[j] = np.logaddexp.reduce(table.steps[j] + betas[j + 1][None, :], axis=1)
+def _backward(steps: np.ndarray) -> np.ndarray:
+    betas = np.zeros((len(steps), steps.shape[1] + 1, 2))
+    for j in range(steps.shape[1] - 1, -1, -1):
+        betas[:, j] = np.logaddexp.reduce(
+            steps[:, j] + betas[:, j + 1, None, :], axis=2
+        )
     return betas
+
+
+def _log_z(alphas: np.ndarray) -> np.ndarray:
+    return np.logaddexp.reduce(alphas[:, -1], axis=1)
+
+
+def _posteriors(
+    start: np.ndarray, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward-backward over a batch of equal-length chains: log Z (n,), node
+    marginals (n, L, 2) and edge marginals (n, L-1, 2, 2)."""
+    alphas = _forward(start, steps)
+    betas = _backward(steps)
+    log_z = _log_z(alphas)
+    node = np.exp(alphas + betas - log_z[:, None, None])
+    edge = np.exp(
+        alphas[:, :-1, :, None] + steps + betas[:, 1:, None, :]
+        - log_z[:, None, None, None]
+    )
+    return log_z, node, edge
+
+
+def _path_scores(
+    start: np.ndarray, steps: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """Unnormalized log score of one state path per chain; states is (n, L)."""
+    chains = np.arange(len(states))
+    score = start[chains, states[:, 0]]
+    for j in range(steps.shape[1]):
+        score = score + steps[chains, j, states[:, j], states[:, j + 1]]
+    return score
 
 
 def log_partition(table: PotentialTable) -> float:
     """log of the sum over all label sequences of the potential product."""
-    return float(np.logaddexp.reduce(_forward(table)[-1]))
-
-
-def _path_score(table: PotentialTable, states: np.ndarray) -> float:
-    score = table.start[states[0]]
-    for j, step in enumerate(table.steps):
-        score += step[states[j], states[j + 1]]
-    return float(score)
+    return float(_log_z(_forward(table.start[None], table.steps[None]))[0])
 
 
 def sequence_log_prob(table: PotentialTable, labels: Sequence[TokenLabel]) -> float:
@@ -118,8 +158,9 @@ def sequence_log_prob(table: PotentialTable, labels: Sequence[TokenLabel]) -> fl
         raise LengthMismatchError(
             f"{len(labels)} labels for a table of length {len(table)}"
         )
-    states = np.array([_LABEL_INDEX[l] for l in labels])
-    return _path_score(table, states) - log_partition(table)
+    states = np.array([[_LABEL_INDEX[l] for l in labels]])
+    path = _path_scores(table.start[None], table.steps[None], states)[0]
+    return float(path) - log_partition(table)
 
 
 def viterbi_from_table(table: PotentialTable) -> list[TokenLabel]:
@@ -147,17 +188,8 @@ def viterbi(
 
 def marginals(table: PotentialTable) -> tuple[np.ndarray, np.ndarray]:
     """Posterior node marginals (L, 2) and edge marginals (L-1, 2, 2)."""
-    alphas = _forward(table)
-    betas = _backward(table)
-    log_z = np.logaddexp.reduce(alphas[-1])
-    node = np.exp(alphas + betas - log_z)
-    if len(table.steps):
-        edge = np.exp(
-            alphas[:-1, :, None] + table.steps + betas[1:, None, :] - log_z
-        )
-    else:
-        edge = np.zeros((0, 2, 2))
-    return node, edge
+    _, node, edge = _posteriors(table.start[None], table.steps[None])
+    return node[0], edge[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +197,6 @@ class CrfConfig:
     epochs: int = 100
     learning_rate: float = 0.05
     l2: float = 1.0
-    seed: int = 0
     feature_min_count: int = 2
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
@@ -182,59 +213,104 @@ class CrfConfig:
             )
 
 
-PreparedSequence = tuple[list[np.ndarray], np.ndarray]
+@dataclass
+class PreparedDataset:
+    """Training sequences with their feature ids in one flat array.
+
+    Sequences are grouped by length, shortest first, keeping dataset order
+    within a group, and tokens are numbered in that order. ``feature_ids[k]``
+    fired at token ``tokens[k]``; ``states`` holds each token's gold state.
+    Group ``(length, first, count)`` covers tokens ``first`` to
+    ``first + length * count - 1``."""
+
+    # (M,) intp: each token's known ids in FeatureIndex.ids order, so node
+    # scores add up exactly as potentials() adds them.
+    feature_ids: np.ndarray
+    tokens: np.ndarray  # (M,) intp
+    states: np.ndarray  # (N,) intp
+    groups: list[tuple[int, int, int]]
 
 
 def prepare_dataset(
     dataset: Sequence[TrainingSequence], index: FeatureIndex
-) -> list[PreparedSequence]:
-    prepared = []
+) -> PreparedDataset:
     for features_per_position, gold in dataset:
         if len(features_per_position) != len(gold):
             raise LengthMismatchError(
                 f"{len(gold)} labels for {len(features_per_position)} positions"
             )
-        ids = [
-            np.asarray(index.ids(f), dtype=np.int64) for f in features_per_position
-        ]
-        states = np.array([_LABEL_INDEX[l] for l in gold], dtype=np.int64)
-        prepared.append((ids, states))
-    return prepared
+    order = sorted(range(len(dataset)), key=lambda k: len(dataset[k][1]))
+    feature_ids: list[int] = []
+    tokens: list[int] = []
+    states: list[int] = []
+    groups: list[tuple[int, int, int]] = []
+    for length, members in itertools.groupby(order, key=lambda k: len(dataset[k][1])):
+        members = list(members)
+        groups.append((length, len(states), len(members)))
+        for k in members:
+            for features, label in zip(*dataset[k]):
+                known = index.ids(features)
+                feature_ids.extend(known)
+                tokens.extend([len(states)] * len(known))
+                states.append(_LABEL_INDEX[label])
+    return PreparedDataset(
+        feature_ids=np.array(feature_ids, dtype=np.intp),
+        tokens=np.array(tokens, dtype=np.intp),
+        states=np.array(states, dtype=np.intp),
+        groups=groups,
+    )
+
+
+def _label_sums(
+    bins: np.ndarray, table: np.ndarray, rows: np.ndarray, size: int
+) -> np.ndarray:
+    """Per-bin sums of the rows table[rows], shape (size, 2); each bin adds
+    its rows in array order."""
+    return np.stack(
+        [
+            np.bincount(bins, weights=table[rows, label], minlength=size)
+            for label in (0, 1)
+        ],
+        axis=1,
+    )
 
 
 def regularized_log_likelihood_and_gradient(
-    prepared: Sequence[PreparedSequence],
+    prepared: PreparedDataset,
     emission: np.ndarray,
     transition: np.ndarray,
     l2: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective sum_seq log p(gold) - (l2/2)||w||^2 and its exact gradient
-    (observed feature counts minus expected counts minus l2*w)."""
+    (observed feature counts minus expected counts minus l2*w).
+
+    Node scores and expected counts are sums over the flat feature ids;
+    forward-backward runs once per position over each length group."""
+    n_tokens = len(prepared.states)
+    node = _label_sums(prepared.tokens, emission, prepared.feature_ids, n_tokens)
+    # Per token: the gold state's indicator minus its posterior marginal.
+    residual = np.empty((n_tokens, 2))
     value = 0.0
-    grad_emission = np.zeros_like(emission)
     grad_transition = np.zeros_like(transition)
+    for length, first, count in prepared.groups:
+        block = slice(first, first + length * count)
+        states = prepared.states[block].reshape(count, length)
+        start, steps = _clique_scores(
+            transition, node[block].reshape(count, length, 2)
+        )
+        log_z, node_marginals, edge_marginals = _posteriors(start, steps)
+        value += float((_path_scores(start, steps, states) - log_z).sum())
+        residual[block] = -node_marginals.reshape(-1, 2)
 
-    for ids_per_position, states in prepared:
-        table = _table_from_ids(emission, transition, ids_per_position)
-        alphas = _forward(table)
-        betas = _backward(table)
-        log_z = float(np.logaddexp.reduce(alphas[-1]))
-        value += _path_score(table, states) - log_z
+        np.add.at(grad_transition[BOS], states[:, 0], 1.0)
+        grad_transition[BOS] -= node_marginals[:, 0].sum(axis=0)
+        np.add.at(grad_transition, (1 + states[:, :-1], states[:, 1:]), 1.0)
+        grad_transition[1:] -= edge_marginals.sum(axis=(0, 1))
 
-        node = np.exp(alphas + betas - log_z)
-        for i, ids in enumerate(ids_per_position):
-            if len(ids):
-                grad_emission[ids, states[i]] += 1.0
-                grad_emission[ids] -= node[i]
-
-        grad_transition[BOS, states[0]] += 1.0
-        grad_transition[BOS] -= node[0]
-        if len(table.steps):
-            edge = np.exp(
-                alphas[:-1, :, None] + table.steps + betas[1:, None, :] - log_z
-            )
-            np.add.at(grad_transition, (1 + states[:-1], states[1:]), 1.0)
-            grad_transition[1:] -= edge.sum(axis=0)
+    residual[np.arange(n_tokens), prepared.states] += 1.0
+    grad_emission = _label_sums(
+        prepared.feature_ids, residual, prepared.tokens, len(emission)
+    )
 
     value -= 0.5 * l2 * (float((emission**2).sum()) + float((transition**2).sum()))
     grad_emission -= l2 * emission

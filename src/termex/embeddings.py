@@ -3,7 +3,6 @@ scratch, plus averaged sentence vectors for the downstream classifier."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -65,7 +64,6 @@ class SkipgramConfig:
     learning_rate: float = 0.025
     min_count: int = 1
     seed: int = 0
-    workers: int = 1
 
     def validate(self) -> None:
         positive = {
@@ -74,7 +72,6 @@ class SkipgramConfig:
             "negatives": self.negatives,
             "learning_rate": self.learning_rate,
             "min_count": self.min_count,
-            "workers": self.workers,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -130,38 +127,52 @@ def negative_distribution(vocab: Vocabulary) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+# Pairs per draw of negatives. Draws of consecutive chunks of pairs consume
+# the generator exactly as one draw for the whole epoch would, so the chunk
+# size bounds memory without changing the result.
+_CHUNK_PAIRS = 8192
 
 
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -x)
-
-
-def pair_loss_and_grads(
-    center_vec: np.ndarray, context_vec: np.ndarray, negative_vecs: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Negative-sampling loss for one pair and its exact gradients.
-
-    The loss is -log s(u_ctx . v_cen) - sum_k log s(-u_neg_k . v_cen); the
-    trainer descends it, which maximizes the skipgram objective. Returns
-    (loss, d/d center, d/d context, d/d negatives)."""
-    pos_score = float(center_vec @ context_vec)
-    neg_scores = negative_vecs @ center_vec
-    loss = -float(_log_sigmoid(np.array(pos_score))) - float(
-        _log_sigmoid(-neg_scores).sum()
+def negative_sampling_loss(scores: np.ndarray) -> float:
+    """Summed loss over blocks of scores u_r . v_center, where column 0 scores
+    the context word and the others the negatives:
+    -log s(x_context) - sum_k log s(-x_negative_k) per block."""
+    return float(
+        np.logaddexp(0.0, -scores[..., 0]).sum()
+        + np.logaddexp(0.0, scores[..., 1:]).sum()
     )
-    g_pos = float(_sigmoid(np.array(pos_score))) - 1.0
-    g_neg = _sigmoid(neg_scores)
-    grad_center = g_pos * context_vec + g_neg @ negative_vecs
-    grad_context = g_pos * center_vec
-    grad_negatives = g_neg[:, None] * center_vec[None, :]
-    return loss, grad_center, grad_context, grad_negatives
+
+
+def sgd_step(
+    input_vectors: np.ndarray,
+    output_vectors: np.ndarray,
+    center: int,
+    rows: np.ndarray,
+    lr: float,
+    repeated: bool,
+) -> np.ndarray:
+    """One SGD step on the negative-sampling loss of one pair, in place.
+
+    rows[0] is the context word and rows[1:] the negatives; repeated says
+    whether a row occurs twice in rows. Every gradient is taken at the
+    parameters before the step. Returns the scores before the step."""
+    center_vec = input_vectors[center]
+    block = output_vectors.take(rows, axis=0)
+    scores = block @ center_vec
+    # d loss / d score: s(x) - 1 for the context, s(x) for each negative.
+    step = 1.0 / (1.0 + np.exp(-scores))
+    step[0] -= 1.0
+    step *= -lr
+    delta = np.multiply.outer(step, center_vec)
+    if repeated:
+        # Adds row by row in the order np.add.at would, at a quarter of its
+        # per-call cost on a block this small.
+        for row, row_delta in zip(rows.tolist(), delta):
+            output_vectors[row] += row_delta
+    else:
+        output_vectors[rows] = block + delta
+    input_vectors[center] += step @ block
+    return scores
 
 
 def _run_pairs(
@@ -176,33 +187,20 @@ def _run_pairs(
     One update per pair, exactly as the objective is stated; batching pairs
     would let frequent rows absorb many stale-gradient steps at once and
     diverge at learning rates that per-pair SGD tolerates."""
-    total = 0.0
+    blocks = np.concatenate([pairs[:, 1:], negatives], axis=1)
+    ordered = np.sort(blocks, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    scores = np.empty(blocks.shape)
     # Divergent runs hit inf/nan transiently before the per-epoch finiteness
     # check raises; keep numpy quiet about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(len(pairs)):
-            center, context = pairs[t]
-            negs = negatives[t]
-            lr = lrs[t]
-            v_cen = input_vectors[center]
-            u_ctx = output_vectors[context]
-            u_neg = output_vectors[negs]
-
-            pos_score = v_cen @ u_ctx
-            neg_scores = u_neg @ v_cen
-            total += float(np.logaddexp(0.0, -pos_score)) + float(
-                np.logaddexp(0.0, neg_scores).sum()
+        for t, (center, lr, repeated) in enumerate(
+            zip(pairs[:, 0].tolist(), lrs.tolist(), repeats.tolist())
+        ):
+            scores[t] = sgd_step(
+                input_vectors, output_vectors, center, blocks[t], lr, repeated
             )
-
-            g_pos = _sigmoid(np.asarray(pos_score)) - 1.0
-            g_neg = _sigmoid(neg_scores)
-
-            grad_cen = g_pos * u_ctx + g_neg @ u_neg
-            output_vectors[context] -= lr * g_pos * v_cen
-            # negs can repeat a row within one draw; add.at accumulates.
-            np.add.at(output_vectors, negs, (-lr) * g_neg[:, None] * v_cen[None, :])
-            input_vectors[center] -= lr * grad_cen
-    return total
+        return negative_sampling_loss(scores)
 
 
 def _collect_pairs(
@@ -228,8 +226,7 @@ def train_skipgram(
     Input vectors start uniform in [-0.5/dim, 0.5/dim), output vectors at
     zero; negatives come from the unigram^(3/4) distribution; the learning
     rate decays linearly to 1e-4 of its initial value over the total pair
-    count. Single-worker runs are bit-reproducible under a fixed seed;
-    workers > 1 updates shared matrices lock-free and is not deterministic."""
+    count. Runs are bit-reproducible under a fixed seed."""
     config.validate()
     corpus = list(corpus)
     if not corpus:
@@ -253,65 +250,27 @@ def train_skipgram(
     neg_probs = negative_distribution(vocab)
     total_updates = len(pairs) * config.epochs
 
-    if config.workers == 1:
-        for epoch in range(config.epochs):
+    for epoch in range(config.epochs):
+        epoch_loss = 0.0
+        for first in range(0, len(pairs), _CHUNK_PAIRS):
+            chunk = pairs[first : first + _CHUNK_PAIRS]
             negatives = rng.choice(
-                len(vocab), size=(len(pairs), config.negatives), p=neg_probs
+                len(vocab), size=(len(chunk), config.negatives), p=neg_probs
             )
-            done = epoch * len(pairs)
+            done = epoch * len(pairs) + first
             lrs = config.learning_rate * (
                 1.0
-                - (1.0 - 1e-4)
-                * ((done + np.arange(len(pairs))) / total_updates)
+                - (1.0 - 1e-4) * ((done + np.arange(len(chunk))) / total_updates)
             )
-            epoch_loss = _run_pairs(
-                input_vectors, output_vectors, pairs, negatives, lrs
+            epoch_loss += _run_pairs(
+                input_vectors, output_vectors, chunk, negatives, lrs
             )
-            if not np.isfinite(epoch_loss):
-                raise NonFiniteLossError(f"skipgram loss diverged at epoch {epoch}")
-            if callback is not None:
-                callback(epoch, {"loss": epoch_loss / len(pairs)})
-    else:
-        _train_lockfree(pairs, input_vectors, output_vectors, neg_probs, config)
+        if not np.isfinite(epoch_loss):
+            raise NonFiniteLossError(f"skipgram loss diverged at epoch {epoch}")
+        if callback is not None:
+            callback(epoch, {"loss": epoch_loss / len(pairs)})
 
     return model
-
-
-def _train_lockfree(
-    pairs: np.ndarray,
-    input_vectors: np.ndarray,
-    output_vectors: np.ndarray,
-    neg_probs: np.ndarray,
-    config: SkipgramConfig,
-) -> None:
-    """Hogwild-style threads sharing the matrices without locks; update
-    interleaving (hence the result) is nondeterministic."""
-    shards = np.array_split(pairs, config.workers)
-    total = len(pairs) * config.epochs
-
-    def worker(shard: np.ndarray, seed: int) -> None:
-        wrng = np.random.default_rng(seed)
-        done = 0
-        for _ in range(config.epochs):
-            negatives = wrng.choice(
-                len(neg_probs), size=(len(shard), config.negatives), p=neg_probs
-            )
-            lrs = config.learning_rate * (
-                1.0
-                - (1.0 - 1e-4)
-                * ((done + np.arange(len(shard))) * config.workers / total)
-            )
-            _run_pairs(input_vectors, output_vectors, shard, negatives, lrs)
-            done += len(shard)
-
-    threads = [
-        threading.Thread(target=worker, args=(shard, config.seed + k))
-        for k, shard in enumerate(shards)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
 
 
 def embed_sentence(model: EmbeddingModel, sentence: Sentence) -> SentenceVector:

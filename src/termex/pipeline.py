@@ -4,6 +4,7 @@ trained models, and evaluation reports out."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -31,7 +32,7 @@ from .evaluation import (
     evaluate_stage2,
     report_to_json,
 )
-from .features import sentence_features
+from .features import SparseFeatures, sentence_features
 from .synth import generate_corpus
 
 
@@ -51,12 +52,22 @@ def classifier_examples(model: EmbeddingModel, sentences: list[LabeledSentence])
 
 
 def crf_dataset(sentences: list[LabeledSentence], feature_config):
-    """Stage-II training pairs from the gold-positive sentences only."""
+    """Stage-II training pairs from the gold-positive sentences only.
+
+    Feature strings are interned: each token builds its own copies of strings
+    that recur across thousands of tokens, and the training set holds them
+    all while the CRF trains."""
     positives = [
         s for s in sentences if s.sentence_label is SentenceLabel.CONTAINS_TECH
     ]
     return [
-        (sentence_features(s.sentence, feature_config), list(s.token_labels))
+        (
+            [
+                SparseFeatures(frozenset(map(sys.intern, f.fired)))
+                for f in sentence_features(s.sentence, feature_config)
+            ],
+            list(s.token_labels),
+        )
         for s in positives
     ]
 

@@ -4,7 +4,7 @@ from termex.classifier import ClassifierConfig
 from termex.config import RunConfig
 from termex.corpus import Gazetteer, load_gazetteer
 from termex.crf import CrfConfig
-from termex.embeddings import SkipgramConfig
+from termex.embeddings import SkipgramConfig, negative_sampling_loss, sgd_step
 from termex.pipeline import PipelineResult, run_pipeline
 
 SINGLE_TERMS = [
@@ -53,7 +53,7 @@ def fast_config(gazetteer_path: str, n_sentences: int = 400, seed: int = 0) -> R
         dim=32, window=5, negatives=5, epochs=3, learning_rate=0.05, seed=seed
     )
     cfg.classifier = ClassifierConfig(epochs=30, learning_rate=1.0, seed=seed)
-    cfg.crf = CrfConfig(epochs=40, learning_rate=0.05, seed=seed)
+    cfg.crf = CrfConfig(epochs=40, learning_rate=0.05)
     return cfg
 
 
@@ -62,3 +62,17 @@ def small_run(gazetteer_file, tmp_path_factory) -> PipelineResult:
     workdir = tmp_path_factory.mktemp("small-run")
     cfg = fast_config(gazetteer_file)
     return run_pipeline(cfg, workdir=workdir)
+
+
+def pair_loss(input_vectors, output_vectors, center, rows):
+    """Negative-sampling loss of one pair; rows[0] is the context word."""
+    return negative_sampling_loss(output_vectors[rows] @ input_vectors[center])
+
+
+def step_gradients(input_vectors, output_vectors, center, rows):
+    """Gradients of pair_loss as the training step applies them: at learning
+    rate 1 the step moves each matrix by minus its gradient."""
+    inputs, outputs = input_vectors.copy(), output_vectors.copy()
+    repeated = len(set(rows.tolist())) < len(rows)
+    sgd_step(inputs, outputs, center, rows, 1.0, repeated)
+    return input_vectors - inputs, output_vectors - outputs

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import termex
 from termex.cli import main
 from termex.render import strip_ansi, strip_html
 
@@ -311,3 +315,29 @@ class TestPipeline:
         assert main([
             "pipeline", "--config", fast_ini, "--out", str(tmp_path / "r"),
         ]) == 2
+
+    def test_artifacts_identical_across_processes(
+        self, gazetteer_file, fast_ini, tmp_path
+    ):
+        """Separate processes with different string-hash seeds write
+        byte-identical models and reports."""
+        src = str(Path(termex.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("1", "2"):
+            workdir = tmp_path / f"hash-{hash_seed}"
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])
+                ),
+            }
+            subprocess.run(
+                [sys.executable, "-m", "termex.cli", "pipeline", "--config", fast_ini,
+                 "--gazetteer", gazetteer_file, "--out", str(workdir)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outputs.append(workdir)
+        for name in ("embeddings.bin", "classifier.bin", "crf.bin", "reports.json"):
+            first, second = ((out / name).read_bytes() for out in outputs)
+            assert first == second, name

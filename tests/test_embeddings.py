@@ -14,11 +14,13 @@ from termex.embeddings import (
     load_embeddings,
     load_text_vectors,
     negative_distribution,
-    pair_loss_and_grads,
+    negative_sampling_loss,
     save_embeddings,
+    sgd_step,
     train_skipgram,
 )
 from termex.errors import ConfigError, EmptyVocabularyError, ModelFormatError
+from tests.conftest import pair_loss, step_gradients
 
 
 def make_sentence(words, index=0):
@@ -116,26 +118,51 @@ class TestGeneratePairs:
 class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        center = rng.normal(size=4)
-        context = rng.normal(size=4)
-        negatives = rng.normal(size=(3, 4))
-        _, g_cen, g_ctx, g_neg = pair_loss_and_grads(center, context, negatives)
-
+        inputs = rng.normal(size=(3, 4))
+        outputs = rng.normal(size=(5, 4))
         eps = 1e-6
         worst = 0.0
-        for arr, grad in ((center, g_cen), (context, g_ctx), (negatives, g_neg)):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = arr[idx]
-                arr[idx] = old + eps
-                up = pair_loss_and_grads(center, context, negatives)[0]
-                arr[idx] = old - eps
-                down = pair_loss_and_grads(center, context, negatives)[0]
-                arr[idx] = old
-                numeric = (up - down) / (2 * eps)
-                worst = max(worst, abs(grad[idx] - numeric) / (abs(numeric) + 1e-12))
+        # distinct rows, a negative repeating the context, and all one row
+        for rows in ([2, 0, 4, 1], [2, 0, 2, 4], [3, 3, 3]):
+            rows = np.array(rows)
+            grads = step_gradients(inputs, outputs, 1, rows)
+            for arr, grad in zip((inputs, outputs), grads):
+                it = np.nditer(arr, flags=["multi_index"])
+                for _ in it:
+                    idx = it.multi_index
+                    old = arr[idx]
+                    arr[idx] = old + eps
+                    up = pair_loss(inputs, outputs, 1, rows)
+                    arr[idx] = old - eps
+                    down = pair_loss(inputs, outputs, 1, rows)
+                    arr[idx] = old
+                    numeric = (up - down) / (2 * eps)
+                    worst = max(
+                        worst, abs(grad[idx] - numeric) / (abs(numeric) + 1e-12)
+                    )
         assert worst < 1e-5
+
+    def test_step_returns_scores_before_the_update(self):
+        rng = np.random.default_rng(8)
+        inputs = rng.normal(size=(2, 3))
+        outputs = rng.normal(size=(4, 3))
+        rows = np.array([1, 3, 0])
+        expected = outputs[rows] @ inputs[0]
+        scores = sgd_step(inputs, outputs, 0, rows, 0.1, repeated=False)
+        assert np.array_equal(scores, expected)
+
+    def test_loss_sums_blocks(self):
+        scores = np.array([[0.3, -1.2, 2.0], [-0.7, 0.1, 0.0]])
+        expected = sum(
+            -np.log(1 / (1 + np.exp(-row[0])))
+            - sum(np.log(1 / (1 + np.exp(x))) for x in row[1:])
+            for row in scores
+        )
+        assert negative_sampling_loss(scores) == pytest.approx(expected, rel=1e-12)
+        assert negative_sampling_loss(scores) == pytest.approx(
+            negative_sampling_loss(scores[0]) + negative_sampling_loss(scores[1]),
+            rel=1e-12,
+        )
 
 
 class TestNegativeSampler:
@@ -191,12 +218,6 @@ class TestTraining:
         model = train_skipgram(corpus, cfg)
         assert np.isfinite(model.input_vectors).all()
         assert np.isfinite(model.output_vectors).all()
-
-    def test_lockfree_workers_produce_finite_model(self):
-        corpus = shared_context_corpus(seed=5, n=120)
-        cfg = SkipgramConfig(dim=8, window=2, negatives=2, epochs=2, workers=3, seed=0)
-        model = train_skipgram(corpus, cfg)
-        assert np.isfinite(model.input_vectors).all()
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
