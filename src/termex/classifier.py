@@ -248,7 +248,7 @@ def save_classifier(model: ClassifierModel, path: str | Path) -> None:
 
 
 def load_classifier(path: str | Path) -> ClassifierModel:
-    with open(path, "rb") as fh:
+    with modelio.open_model(path) as fh:
         modelio.read_header(fh, MAGIC, VERSION)
         d = modelio.read_u32(fh)
         h = modelio.read_u32(fh)
@@ -256,6 +256,7 @@ def load_classifier(path: str | Path) -> ClassifierModel:
         projection = modelio.read_matrix(fh, (h, d))
         output_weights = modelio.read_matrix(fh, (2, h))
         bias = modelio.read_matrix(fh, (2,))
+        modelio.read_end(fh)
     return ClassifierModel(
         projection=projection,
         output_weights=output_weights,

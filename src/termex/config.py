@@ -47,6 +47,30 @@ def default_config_path() -> str | None:
     return os.environ.get(ENV_CONFIG)
 
 
+# The keys each section accepts; anything else is a typo or a leftover.
+_KEYS = {
+    "main": {"seed", "corpus", "gazetteer", "workdir", "ratios"},
+    "synth": {"n_sentences", "positive_rate", "sentences_per_doc"},
+    "embeddings": {
+        "dim", "window", "negatives", "epochs", "learning_rate", "min_count",
+    },
+    "classifier": {"epochs", "learning_rate", "l2", "use_hidden", "batch_size"},
+    "crf": {
+        "epochs", "learning_rate", "l2", "feature_min_count",
+        "ngram_min", "ngram_max", "window",
+    },
+}
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        unknown = sorted(set(parser[name]) - _KEYS[name])
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in config section [{name}]")
+
+
 def _section(parser: configparser.ConfigParser, name: str) -> dict[str, str]:
     return dict(parser[name]) if parser.has_section(name) else {}
 
@@ -73,9 +97,13 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    _check_keys(parser)
 
     main = _section(parser, "main")
     cfg.seed = _get(main, "seed", int, cfg.seed)

@@ -47,19 +47,34 @@ class PotentialTable:
         return 1 + len(self.steps)
 
 
-def _feature_ids(model: CrfModel, features_per_position: Sequence[SparseFeatures]) -> list[np.ndarray]:
-    return [
-        np.asarray(model.feature_index.ids(f), dtype=np.int64)
-        for f in features_per_position
-    ]
+def _flat_ids(
+    index: FeatureIndex,
+    features_per_position: Sequence[SparseFeatures],
+    first: int = 0,
+) -> tuple[list[int], list[int]]:
+    """Each position's known feature ids in FeatureIndex.ids order, flattened,
+    with the token number (first + position) at which each one fired."""
+    ids: list[int] = []
+    tokens: list[int] = []
+    for token, features in enumerate(features_per_position, start=first):
+        known = index.ids(features)
+        ids.extend(known)
+        tokens.extend([token] * len(known))
+    return ids, tokens
 
 
-def _node_scores(emission: np.ndarray, ids_per_position: Sequence[np.ndarray]) -> np.ndarray:
-    scores = np.zeros((len(ids_per_position), 2))
-    for i, ids in enumerate(ids_per_position):
-        if len(ids):
-            scores[i] = emission[ids].sum(axis=0)
-    return scores
+def _label_sums(
+    bins: np.ndarray, table: np.ndarray, rows: np.ndarray, size: int
+) -> np.ndarray:
+    """Per-bin sums of the rows table[rows], shape (size, 2); each bin adds
+    its rows in array order."""
+    return np.stack(
+        [
+            np.bincount(bins, weights=table[rows, label], minlength=size)
+            for label in (0, 1)
+        ],
+        axis=1,
+    )
 
 
 def _clique_scores(
@@ -72,15 +87,6 @@ def _clique_scores(
     return start, steps
 
 
-def _table_from_ids(
-    emission: np.ndarray, transition: np.ndarray, ids_per_position: Sequence[np.ndarray]
-) -> PotentialTable:
-    start, steps = _clique_scores(
-        transition, _node_scores(emission, ids_per_position)
-    )
-    return PotentialTable(start=start, steps=steps)
-
-
 def potentials(
     model: CrfModel, features_per_position: Sequence[SparseFeatures]
 ) -> PotentialTable:
@@ -88,11 +94,15 @@ def potentials(
     of the features fired at i (unknown features are ignored)."""
     if not features_per_position:
         raise ValueError("cannot build potentials for an empty sentence")
-    return _table_from_ids(
+    ids, tokens = _flat_ids(model.feature_index, features_per_position)
+    node = _label_sums(
+        np.array(tokens, dtype=np.intp),
         model.emission_weights,
-        model.transition_weights,
-        _feature_ids(model, features_per_position),
+        np.array(ids, dtype=np.intp),
+        len(features_per_position),
     )
+    start, steps = _clique_scores(model.transition_weights, node)
+    return PotentialTable(start=start, steps=steps)
 
 
 def _forward(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -165,18 +175,25 @@ def sequence_log_prob(table: PotentialTable, labels: Sequence[TokenLabel]) -> fl
 
 def viterbi_from_table(table: PotentialTable) -> list[TokenLabel]:
     """Best label sequence; ties prefer O at the earliest differing position."""
-    length = len(table)
-    # suffix[i][s]: best completion score of positions i..L-1 given state s at i-1.
-    suffix = np.zeros((length + 1, 2))
-    for i in range(length - 1, 0, -1):
-        suffix[i] = (table.steps[i - 1] + suffix[i + 1][None, :]).max(axis=1)
+    steps = table.steps.tolist()
+    # best[i][s]: best score of positions i+1..L-1 given state s at i.
+    best = [(0.0, 0.0)] * len(table)
+    after_t = after_o = 0.0
+    for i in range(len(steps) - 1, -1, -1):
+        (tt, to), (ot, oo) = steps[i]
+        after_t, after_o = (
+            max(tt + after_t, to + after_o),
+            max(ot + after_t, oo + after_o),
+        )
+        best[i] = (after_t, after_o)
 
-    states = np.empty(length, dtype=np.int64)
-    scores = table.start + suffix[1]
-    states[0] = 0 if scores[0] > scores[1] else 1  # index 1 is O
-    for i in range(1, length):
-        scores = table.steps[i - 1][states[i - 1]] + suffix[i + 1]
-        states[i] = 0 if scores[0] > scores[1] else 1
+    start_t, start_o = table.start.tolist()
+    state = 0 if start_t + best[0][0] > start_o + best[0][1] else 1  # index 1 is O
+    states = [state]
+    for i in range(1, len(best)):
+        row_t, row_o = steps[i - 1][state]
+        state = 0 if row_t + best[i][0] > row_o + best[i][1] else 1
+        states.append(state)
     return [LABELS[s] for s in states]
 
 
@@ -248,30 +265,16 @@ def prepare_dataset(
         members = list(members)
         groups.append((length, len(states), len(members)))
         for k in members:
-            for features, label in zip(*dataset[k]):
-                known = index.ids(features)
-                feature_ids.extend(known)
-                tokens.extend([len(states)] * len(known))
-                states.append(_LABEL_INDEX[label])
+            features_per_position, gold = dataset[k]
+            ids, fired_at = _flat_ids(index, features_per_position, first=len(states))
+            feature_ids.extend(ids)
+            tokens.extend(fired_at)
+            states.extend(_LABEL_INDEX[label] for label in gold)
     return PreparedDataset(
         feature_ids=np.array(feature_ids, dtype=np.intp),
         tokens=np.array(tokens, dtype=np.intp),
         states=np.array(states, dtype=np.intp),
         groups=groups,
-    )
-
-
-def _label_sums(
-    bins: np.ndarray, table: np.ndarray, rows: np.ndarray, size: int
-) -> np.ndarray:
-    """Per-bin sums of the rows table[rows], shape (size, 2); each bin adds
-    its rows in array order."""
-    return np.stack(
-        [
-            np.bincount(bins, weights=table[rows, label], minlength=size)
-            for label in (0, 1)
-        ],
-        axis=1,
     )
 
 
@@ -382,7 +385,7 @@ def save_crf(model: CrfModel, path: str | Path) -> None:
 
 
 def load_crf(path: str | Path) -> CrfModel:
-    with open(path, "rb") as fh:
+    with modelio.open_model(path) as fh:
         modelio.read_header(fh, MAGIC, VERSION)
         count = modelio.read_u32(fh)
         strings = [modelio.read_str(fh) for _ in range(count)]
@@ -397,8 +400,12 @@ def load_crf(path: str | Path) -> CrfModel:
         )
         emission = modelio.read_matrix(fh, (count, 2))
         transition = modelio.read_matrix(fh, (3, 2))
+        modelio.read_end(fh)
+    index = FeatureIndex.from_strings(strings)
+    if len(index) != count:
+        raise ModelFormatError("repeated feature strings in the CRF model")
     return CrfModel(
-        feature_index=FeatureIndex.from_strings(strings),
+        feature_index=index,
         emission_weights=emission,
         transition_weights=transition,
         l2=l2,

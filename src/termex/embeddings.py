@@ -11,7 +11,12 @@ import numpy as np
 
 from . import modelio
 from .corpus import Sentence
-from .errors import ConfigError, EmptyVocabularyError, NonFiniteLossError
+from .errors import (
+    ConfigError,
+    EmptyVocabularyError,
+    ModelFormatError,
+    NonFiniteLossError,
+)
 
 MAGIC = b"TXEMB"
 VERSION = 1
@@ -303,19 +308,26 @@ def save_embeddings(model: EmbeddingModel, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingModel:
-    with open(path, "rb") as fh:
+    with modelio.open_model(path) as fh:
         modelio.read_header(fh, MAGIC, VERSION)
         dim = modelio.read_u32(fh)
         size = modelio.read_u32(fh)
         min_count = modelio.read_u32(fh)
         words = []
-        counts = np.empty(size, dtype=np.int64)
-        for i in range(size):
+        counts = []
+        for _ in range(size):
             words.append(modelio.read_str(fh))
-            counts[i] = modelio.read_u64(fh)
-        vocab = Vocabulary(words=words, counts=counts, min_count=min_count)
+            counts.append(modelio.read_u64(fh))
         input_vectors = modelio.read_matrix(fh, (size, dim))
         output_vectors = modelio.read_matrix(fh, (size, dim))
+        modelio.read_end(fh)
+    if max(counts, default=0) > np.iinfo(np.int64).max:
+        raise ModelFormatError("word count out of range in the embedding vocabulary")
+    vocab = Vocabulary(
+        words=words, counts=np.array(counts, dtype=np.int64), min_count=min_count
+    )
+    if len(vocab.index) != size:
+        raise ModelFormatError("repeated words in the embedding vocabulary")
     return EmbeddingModel(
         dim=dim, vocab=vocab, input_vectors=input_vectors, output_vectors=output_vectors
     )

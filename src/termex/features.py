@@ -57,14 +57,20 @@ def word_shape(text: str) -> str:
     return "".join(out)
 
 
+def _ngrams(text: str, n_min: int, n_max: int, prefix: str = "") -> list[str]:
+    """prefix + each contiguous n-gram of the boundary-marked, lowercased
+    token, repeats included."""
+    marked = "<" + text.lower() + ">"
+    return [
+        prefix + marked[at : at + n]
+        for n in range(n_min, min(n_max, len(marked)) + 1)
+        for at in range(len(marked) - n + 1)
+    ]
+
+
 def char_ngrams(text: str, n_min: int = 2, n_max: int = 4) -> set[str]:
     """All contiguous n-grams of the boundary-marked, lowercased token."""
-    marked = "<" + text.lower() + ">"
-    grams: set[str] = set()
-    for n in range(n_min, n_max + 1):
-        for at in range(len(marked) - n + 1):
-            grams.add(marked[at : at + n])
-    return grams
+    return set(_ngrams(text, n_min, n_max))
 
 
 def _tag_token(text: str) -> CoarsePosTag:
@@ -132,8 +138,39 @@ def extract_features(
 def sentence_features(
     sentence: Sentence, config: FeatureConfig = DEFAULT_FEATURES
 ) -> list[SparseFeatures]:
-    tags = pos_tag(sentence)
-    return [extract_features(sentence, tags, i, config) for i in range(len(sentence.tokens))]
+    """extract_features at every position, in one pass: each token is
+    folded, tagged and shaped once, and its n-gram and context-word strings
+    are built once."""
+    texts = sentence.token_texts()
+    words = [text.casefold() for text in texts]
+    tags = [_tag_token(text).value for text in texts]
+    shapes = [word_shape(text) for text in texts]
+    grams = [_ngrams(text, config.ngram_min, config.ngram_max, "NG=") for text in texts]
+    left = [f"LW={w}" for w in words]
+    right = [f"RW={w}" for w in words]
+    # Padded by one on each side: entry i is the left neighbour of token i,
+    # entry i + 2 its right neighbour.
+    around_words = ["<BOS>", *words, "<EOS>"]
+    around_tags = ["BOS", *tags, "EOS"]
+    around_shapes = ["BOS", *shapes, "EOS"]
+    window = config.window
+    out = []
+    for i, word in enumerate(words):
+        tag, shape = tags[i], shapes[i]
+        fired = (
+            f"W0={word}",
+            f"W-1={around_words[i]}",
+            f"W+1={around_words[i + 2]}",
+            f"P0={tag}",
+            f"SH0={shape}",
+            f"PSEQ={around_tags[i]}_{tag}_{around_tags[i + 2]}",
+            f"SHSEQ={around_shapes[i]}_{shape}_{around_shapes[i + 2]}",
+            *grams[i],
+            *left[max(0, i - window) : i],
+            *right[i + 1 : i + 1 + window],
+        )
+        out.append(SparseFeatures(frozenset(fired)))
+    return out
 
 
 class FeatureIndex:
@@ -159,15 +196,26 @@ class FeatureIndex:
 
     def freeze(self) -> "FeatureIndex":
         self.frozen = True
+        # Each feature's rank in sorted-string order, and the id at each
+        # rank, so that ids() sorts small ints instead of strings. _known is
+        # a frozenset because intersecting two sets walks the smaller one.
+        ordered = sorted(self._ids)
+        self._known = frozenset(ordered)
+        self._ranks = {feature: rank for rank, feature in enumerate(ordered)}
+        self._ids_by_rank = [self._ids[feature] for feature in ordered]
         return self
 
     def lookup(self, feature: str) -> int | None:
         return self._ids.get(feature)
 
     def ids(self, features: SparseFeatures) -> list[int]:
-        """Known ids for the fired features; unknown ones are dropped."""
-        out = [self._ids[f] for f in features.ordered() if f in self._ids]
-        return out
+        """Known ids for the fired features, in the sorted order of their
+        strings; unknown ones are dropped."""
+        if not self.frozen:
+            raise ValueError("feature index must be frozen before lookups")
+        ranks = sorted(map(self._ranks.__getitem__, self._known & features.fired))
+        by_rank = self._ids_by_rank
+        return [by_rank[r] for r in ranks]
 
     def strings(self) -> list[str]:
         """Feature strings in id order."""

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import math
 import struct
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -10,11 +13,37 @@ import numpy as np
 from .errors import ModelFormatError
 
 
+def open_model(path: str | Path) -> io.BytesIO:
+    """The whole model file in memory, so that every size it declares can be
+    checked against the bytes left before anything is read or allocated."""
+    return io.BytesIO(Path(path).read_bytes())
+
+
+def _remaining(fh: BinaryIO) -> int:
+    here = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(here)
+    return end - here
+
+
+def _check_left(fh: BinaryIO, size: int) -> None:
+    left = _remaining(fh)
+    if size > left:
+        raise ModelFormatError(
+            f"truncated model file: {size} bytes declared, {left} left"
+        )
+
+
 def _read_exact(fh: BinaryIO, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ModelFormatError("truncated model file")
-    return data
+    _check_left(fh, size)
+    return fh.read(size)
+
+
+def read_end(fh: BinaryIO) -> None:
+    """Fail unless the whole file has been read."""
+    left = _remaining(fh)
+    if left:
+        raise ModelFormatError(f"{left} unexpected bytes at the end of the model file")
 
 
 def write_header(fh: BinaryIO, magic: bytes, version: int) -> None:
@@ -62,8 +91,11 @@ def write_str(fh: BinaryIO, value: str) -> None:
 
 
 def read_str(fh: BinaryIO) -> str:
-    size = read_u32(fh)
-    return _read_exact(fh, size).decode("utf-8")
+    data = _read_exact(fh, read_u32(fh))
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model string is not valid UTF-8: {exc}") from exc
 
 
 def write_matrix(fh: BinaryIO, arr: np.ndarray) -> None:
@@ -72,9 +104,9 @@ def write_matrix(fh: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_matrix(fh: BinaryIO, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    data = _read_exact(fh, count * 8)
-    arr = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    _check_left(fh, 8 * math.prod(shape))
+    arr = np.empty(shape, dtype="<f8")
+    fh.readinto(arr)
     if not np.isfinite(arr).all():
         raise ModelFormatError("model matrix contains non-finite values")
     return arr

@@ -77,7 +77,44 @@ def enumeration_argmax(scores):
     return best
 
 
+def reference_potentials(model, features_per_position):
+    """Per-position emission sums, as a plain loop over the known ids in the
+    sorted order of their strings."""
+    index = model.feature_index
+    node = np.zeros((len(features_per_position), 2))
+    for i, features in enumerate(features_per_position):
+        ids = [index.lookup(f) for f in sorted(features.fired) if f in index]
+        if ids:
+            node[i] = model.emission_weights[ids].sum(axis=0)
+    transition = model.transition_weights
+    steps = np.empty((len(node) - 1, 2, 2))
+    for i in range(1, len(node)):
+        for prev in (0, 1):
+            steps[i - 1, prev] = transition[1 + prev] + node[i]
+    return transition[0] + node[0], steps
+
+
 class TestPotentials:
+    def test_bit_identical_to_per_position_sums(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n_features = int(rng.integers(1, 40))
+            names = [f"f={k:03d}" for k in rng.permutation(n_features)]
+            model = build_model(
+                names,
+                rng.normal(scale=rng.uniform(0.1, 100.0), size=(n_features, 2)),
+                rng.normal(size=(3, 2)),
+            )
+            sentence = []
+            for _ in range(int(rng.integers(1, 12))):
+                count = int(rng.integers(0, n_features + 1))
+                known = rng.choice(n_features, size=count, replace=False)
+                sentence.append(feats(*(names[k] for k in known), "unseen=1"))
+            table = potentials(model, sentence)
+            start, steps = reference_potentials(model, sentence)
+            assert start.tobytes() == table.start.tobytes()
+            assert steps.tobytes() == table.steps.tobytes()
+
     def test_all_zero_weights(self):
         model = build_model(["f=1"])
         table = potentials(model, [feats("f=1"), feats()])
@@ -207,6 +244,19 @@ class TestViterbi:
             decoded = viterbi_from_table(table)
             decoded_idx = tuple(0 if l is T else 1 for l in decoded)
             assert decoded_idx == enumeration_argmax(enumerate_scores(table))
+
+    def test_matches_enumeration_on_tied_integer_tables(self):
+        # Potentials in {-1, 0, 1} make many paths tie, which exercises the
+        # tie rule at every position.
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            length = int(rng.integers(1, 9))
+            table = PotentialTable(
+                start=rng.integers(-1, 2, size=2).astype(float),
+                steps=rng.integers(-1, 2, size=(length - 1, 2, 2)).astype(float),
+            )
+            decoded = tuple(0 if l is T else 1 for l in viterbi_from_table(table))
+            assert decoded == enumeration_argmax(enumerate_scores(table))
 
     def test_tie_break_under_symmetric_potentials(self):
         # transitions favour staying, emissions are silent: all-T and all-O

@@ -173,6 +173,60 @@ class TestExtractFeatures:
                 assert template and value
 
 
+# Tokens as the splitter emits them: no whitespace, and never empty. The
+# alphabet mixes cases, digits, punctuation and symbols, plus characters
+# whose casefold() differs from lower() (ß, İ, ﬁ, ς).
+token_text = st.text(
+    alphabet=st.sampled_from("aZq09.,!?-€_ßİﬁςΣ'\""), min_size=1, max_size=8
+)
+
+
+class TestSentenceFeatures:
+    @given(
+        st.lists(token_text, min_size=1, max_size=12),
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_position_reference(self, words, ngram_min, ngram_span, window):
+        s = make_sentence(words)
+        config = FeatureConfig(ngram_min, ngram_min + ngram_span, window)
+        tags = pos_tag(s)
+        expected = [extract_features(s, tags, i, config) for i in range(len(words))]
+        assert sentence_features(s, config) == expected
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["Solo"],
+            ["!"],
+            ["...", ",", "?!"],
+            ["STRASSE", "Straße", "İstanbul", "ǅemal"],
+        ],
+    )
+    def test_edge_sentences(self, words):
+        s = make_sentence(words)
+        tags = pos_tag(s)
+        assert sentence_features(s) == [
+            extract_features(s, tags, i) for i in range(len(words))
+        ]
+
+    def test_ngram_max_beyond_token_length(self):
+        # A model file may declare any ngram_max; n-grams longer than the
+        # marked token do not exist, so the bound must not cost time.
+        s = make_sentence(["ab", "Cde"])
+        assert sentence_features(s, FeatureConfig(2, 2**32 - 1, 4)) == (
+            sentence_features(s, FeatureConfig(2, 5, 4))
+        )
+
+    def test_context_words_are_casefolded(self):
+        s = make_sentence(["Straße", "x"])
+        fired = sentence_features(s)[1].fired
+        assert "LW=strasse" in fired and "W-1=strasse" in fired
+        assert "NG=aße" in sentence_features(s)[0].fired  # n-grams use lower()
+
+
 class TestFeatureIndex:
     def sets(self, groups):
         return [SparseFeatures(frozenset(g)) for g in groups]
@@ -188,6 +242,30 @@ class TestFeatureIndex:
     def test_dense_ids(self):
         index = FeatureIndex.build(self.sets([{"a=1", "b=2", "c=3"}] * 2), min_count=2)
         assert sorted(index.ids(SparseFeatures(frozenset({"a=1", "b=2", "c=3"})))) == [0, 1, 2]
+
+    def test_ids_in_sorted_string_order(self):
+        # Ids are assigned in insertion order, which differs from string
+        # order, so the ids of a lookup must follow the strings, not the ids.
+        index = FeatureIndex.from_strings(["z=1", "a=2", "m=3", "b=4"])
+        fired = SparseFeatures(frozenset({"m=3", "z=1", "b=4", "a=2", "unseen=0"}))
+        assert index.ids(fired) == [1, 3, 2, 0]
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=30, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_ids_follow_string_order(self, strings, data):
+        index = FeatureIndex.from_strings(strings)
+        fired = data.draw(st.sets(st.sampled_from(strings + ["unknown=", "zz"])))
+        expected = [index.lookup(f) for f in sorted(fired) if f in index]
+        assert index.ids(SparseFeatures(frozenset(fired))) == expected
+
+    def test_unfrozen_index_rejects_lookups(self):
+        index = FeatureIndex()
+        index.add("a=1")
+        with pytest.raises(ValueError):
+            index.ids(SparseFeatures(frozenset({"a=1"})))
 
     def test_frozen_rejects_new(self):
         index = FeatureIndex.build(self.sets([{"a=1"}] * 2), min_count=2)
