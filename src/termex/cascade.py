@@ -37,6 +37,7 @@ class Extraction:
 class PipelineStats:
     sentences: int = 0
     stage2_invocations: int = 0
+    zero_evidence: int = 0  # sentences with no in-vocabulary token
 
 
 @dataclass
@@ -86,10 +87,13 @@ def extract_sentence(
     """Classify the sentence; only stage-I positives reach the CRF.
 
     The stages may disagree: a positive sentence whose decode is all O is
-    reported positive with no spans."""
+    reported positive with no spans. A sentence with no in-vocabulary token
+    is negative (see classifier.predict)."""
+    vector = embed_sentence(models.embedding, sentence)
     if stats is not None:
         stats.sentences += 1
-    prediction = predict(models.classifier, embed_sentence(models.embedding, sentence))
+        stats.zero_evidence += vector.contributing_count == 0
+    prediction = predict(models.classifier, vector)
     if prediction.label is SentenceLabel.NO_TECH:
         return Extraction(sentence.doc_id, sentence.index, False, ())
     if stats is not None:

@@ -15,6 +15,7 @@ from .embeddings import SentenceVector
 from .errors import (
     ConfigError,
     DimensionMismatchError,
+    ModelFormatError,
     NonFiniteLossError,
 )
 
@@ -30,7 +31,7 @@ Example = tuple[SentenceVector, SentenceLabel]
 
 @dataclass
 class ClassifierModel:
-    projection: np.ndarray  # (h, d); identity unless use_hidden
+    projection: np.ndarray  # (h, d); the identity, and not applied, unless use_hidden
     output_weights: np.ndarray  # (2, h)
     bias: np.ndarray  # (2,)
     use_hidden: bool = False
@@ -100,19 +101,24 @@ def _stack(batch: Sequence[Example], d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _forward(model: ClassifierModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = xs @ model.projection.T
+    # An untrained projection is the identity, and x @ I == x exactly for
+    # finite x, so skipping it changes no bit.
+    hidden = xs @ model.projection.T if model.use_hidden else xs
     logits = hidden @ model.output_weights.T + model.bias
     return hidden, logits
+
+
+def _mean_nll(model: ClassifierModel, xs: np.ndarray, ys: np.ndarray) -> float:
+    _, logits = _forward(model, xs)
+    logp = logits - _logsumexp_rows(logits)
+    return float(-logp[np.arange(len(ys)), ys].mean())
 
 
 def loss(model: ClassifierModel, batch: Sequence[Example]) -> float:
     """Mean softmax cross-entropy of the batch; always >= 0."""
     if not batch:
         raise ValueError("loss of an empty batch is undefined")
-    xs, ys = _stack(batch, model.d)
-    _, logits = _forward(model, xs)
-    logp = logits - _logsumexp_rows(logits)
-    return float(-logp[np.arange(len(ys)), ys].mean())
+    return _mean_nll(model, *_stack(batch, model.d))
 
 
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
@@ -150,7 +156,11 @@ def loss_and_gradients(
 
 
 def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
-    """Softmax probabilities and the thresholded label; a tie goes to NoTech."""
+    """Softmax probabilities and the thresholded label; a tie goes to NoTech.
+
+    A sentence with no in-vocabulary token (contributing_count == 0) carries
+    no evidence, so it is NoTech whatever the bias favours; its probabilities
+    are still the model's."""
     if vector.values.shape != (model.d,):
         raise DimensionMismatchError(
             f"sentence vector has dim {vector.values.shape}, model expects {model.d}"
@@ -159,7 +169,7 @@ def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
     probs = softmax(logits[0])
     label = (
         SentenceLabel.CONTAINS_TECH
-        if probs[0] > probs[1]
+        if probs[0] > probs[1] and vector.contributing_count > 0
         else SentenceLabel.NO_TECH
     )
     return Prediction(label=label, probabilities=probs)
@@ -214,7 +224,7 @@ def train_classifier(
             if config.use_hidden:
                 model.projection -= config.learning_rate * grads["projection"]
 
-        epoch_loss = loss(model, train)
+        epoch_loss = _mean_nll(model, xs, ys)
         if not np.isfinite(epoch_loss):
             raise NonFiniteLossError(f"classifier loss diverged at epoch {epoch}")
         val_f = _f_score_against(model, val_xs, val_ys)
@@ -257,6 +267,10 @@ def load_classifier(path: str | Path) -> ClassifierModel:
         output_weights = modelio.read_matrix(fh, (2, h))
         bias = modelio.read_matrix(fh, (2,))
         modelio.read_end(fh)
+    if not use_hidden and not (h == d and np.array_equal(projection, np.eye(d))):
+        # _forward skips an untrained projection, so any other matrix here
+        # would be silently ignored.
+        raise ModelFormatError("untrained classifier projection is not the identity")
     return ClassifierModel(
         projection=projection,
         output_weights=output_weights,

@@ -160,23 +160,29 @@ def sgd_step(
 
     rows[0] is the context word and rows[1:] the negatives; repeated says
     whether a row occurs twice in rows. Every gradient is taken at the
-    parameters before the step. Returns the scores before the step."""
-    center_vec = input_vectors[center]
+    parameters before the step. Returns the scores before the step.
+
+    The step runs ~340k times per criterion-1 training, so it is written for
+    numpy's per-call overhead: np.dot instead of @, and in-place updates."""
+    center_vec = input_vectors[center]  # a view: updated in place below
     block = output_vectors.take(rows, axis=0)
-    scores = block @ center_vec
+    scores = np.dot(block, center_vec)
     # d loss / d score: s(x) - 1 for the context, s(x) for each negative.
     step = 1.0 / (1.0 + np.exp(-scores))
     step[0] -= 1.0
     step *= -lr
-    delta = np.multiply.outer(step, center_vec)
+    # The outer product as a rank-1 matrix product: each entry is one
+    # product, so it equals np.multiply.outer bit for bit, at half the cost.
+    delta = np.dot(step[:, None], center_vec[None, :])
     if repeated:
         # Adds row by row in the order np.add.at would, at a quarter of its
         # per-call cost on a block this small.
         for row, row_delta in zip(rows.tolist(), delta):
             output_vectors[row] += row_delta
     else:
-        output_vectors[rows] = block + delta
-    input_vectors[center] += step @ block
+        delta += block
+        output_vectors[rows] = delta
+    center_vec += np.dot(step, block)
     return scores
 
 
@@ -330,32 +336,4 @@ def load_embeddings(path: str | Path) -> EmbeddingModel:
         raise ModelFormatError("repeated words in the embedding vocabulary")
     return EmbeddingModel(
         dim=dim, vocab=vocab, input_vectors=input_vectors, output_vectors=output_vectors
-    )
-
-
-def load_text_vectors(source: str | Iterable[str]) -> EmbeddingModel:
-    """Testing-only importer for "word v1 ... vdim" lines."""
-    lines = source.splitlines() if isinstance(source, str) else source
-    words: list[str] = []
-    rows: list[list[float]] = []
-    for raw in lines:
-        parts = raw.split()
-        if not parts:
-            continue
-        words.append(parts[0].casefold())
-        rows.append([float(x) for x in parts[1:]])
-    if not rows:
-        raise EmptyVocabularyError("no vectors in text source")
-    dims = {len(r) for r in rows}
-    if len(dims) != 1:
-        raise ConfigError(f"inconsistent vector dimensions: {sorted(dims)}")
-    matrix = np.asarray(rows, dtype=np.float64)
-    vocab = Vocabulary(
-        words=words, counts=np.ones(len(words), dtype=np.int64), min_count=1
-    )
-    return EmbeddingModel(
-        dim=matrix.shape[1],
-        vocab=vocab,
-        input_vectors=matrix,
-        output_vectors=np.zeros_like(matrix),
     )

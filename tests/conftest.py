@@ -1,10 +1,18 @@
+import numpy as np
 import pytest
 
 from termex.classifier import ClassifierConfig
 from termex.config import RunConfig
 from termex.corpus import Gazetteer, load_gazetteer
 from termex.crf import CrfConfig
-from termex.embeddings import SkipgramConfig, negative_sampling_loss, sgd_step
+from termex.embeddings import (
+    EmbeddingModel,
+    SkipgramConfig,
+    Vocabulary,
+    negative_sampling_loss,
+    sgd_step,
+)
+from termex.errors import ConfigError, EmptyVocabularyError
 from termex.pipeline import PipelineResult, run_pipeline
 
 SINGLE_TERMS = [
@@ -76,3 +84,31 @@ def step_gradients(input_vectors, output_vectors, center, rows):
     repeated = len(set(rows.tolist())) < len(rows)
     sgd_step(inputs, outputs, center, rows, 1.0, repeated)
     return input_vectors - inputs, output_vectors - outputs
+
+
+def load_text_vectors(source) -> EmbeddingModel:
+    """Embeddings from "word v1 ... vdim" lines, for hand-written test models."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    words: list[str] = []
+    rows: list[list[float]] = []
+    for raw in lines:
+        parts = raw.split()
+        if not parts:
+            continue
+        words.append(parts[0].casefold())
+        rows.append([float(x) for x in parts[1:]])
+    if not rows:
+        raise EmptyVocabularyError("no vectors in text source")
+    dims = {len(r) for r in rows}
+    if len(dims) != 1:
+        raise ConfigError(f"inconsistent vector dimensions: {sorted(dims)}")
+    matrix = np.asarray(rows, dtype=np.float64)
+    vocab = Vocabulary(
+        words=words, counts=np.ones(len(words), dtype=np.int64), min_count=1
+    )
+    return EmbeddingModel(
+        dim=matrix.shape[1],
+        vocab=vocab,
+        input_vectors=matrix,
+        output_vectors=np.zeros_like(matrix),
+    )

@@ -5,6 +5,7 @@ from termex.cascade import (
     PipelineModels,
     PipelineStats,
     extract_from_document,
+    extract_sentence,
     spans_from_labels,
 )
 from termex.classifier import ClassifierModel
@@ -116,3 +117,57 @@ class TestExtraction:
             extract_sentence(small_run.models, s) for s in split_document(doc)
         ]
         assert per_doc == per_sentence
+
+
+class TestZeroEvidence:
+    @pytest.fixture
+    def eager_models(self, small_run):
+        """The small run's models behind a classifier whose bias calls every
+        sentence positive."""
+        dim = small_run.models.embedding.dim
+        eager = ClassifierModel(
+            projection=np.eye(dim),
+            output_weights=np.zeros((2, dim)),
+            bias=np.array([5.0, -5.0]),
+        )
+        return PipelineModels(
+            embedding=small_run.models.embedding,
+            classifier=eager,
+            crf=small_run.models.crf,
+        )
+
+    @pytest.mark.parametrize("text", ["!!!", "Zqxv Wqpz Jxvk"])
+    def test_no_in_vocabulary_token_never_reaches_crf(
+        self, eager_models, monkeypatch, text
+    ):
+        (sentence,) = split_document(Document(id="z", text=text))
+        vocab = eager_models.embedding.vocab
+        assert not any(word in vocab for word in sentence.folded_texts())
+
+        def no_crf(*args):
+            raise AssertionError("stage II ran on a zero-evidence sentence")
+
+        monkeypatch.setattr("termex.cascade.viterbi", no_crf)
+        stats = PipelineStats()
+        extraction = extract_sentence(eager_models, sentence, stats)
+        assert not extraction.sentence_positive
+        assert extraction.term_spans == ()
+        assert (stats.sentences, stats.stage2_invocations, stats.zero_evidence) == (
+            1, 0, 1,
+        )
+
+    def test_in_vocabulary_sentence_still_reaches_crf(self, eager_models):
+        stats = PipelineStats()
+        doc = Document(id="d", text="Teams deploy Kubernetes widely. Zqxv Wqpz Jxvk")
+        extractions = extract_from_document(doc, eager_models, stats)
+        assert [e.sentence_positive for e in extractions] == [True, False]
+        assert (stats.sentences, stats.stage2_invocations, stats.zero_evidence) == (
+            2, 1, 1,
+        )
+
+    @pytest.mark.parametrize("text", ["", "   \n\t  \n"])
+    def test_empty_document_yields_nothing(self, small_run, text):
+        stats = PipelineStats()
+        doc = Document(id="e", text=text)
+        assert extract_from_document(doc, small_run.models, stats) == []
+        assert stats.sentences == 0

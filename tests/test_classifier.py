@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from termex.classifier import (
     ClassifierConfig,
     ClassifierModel,
+    _forward,
     loss,
     loss_and_gradients,
     load_classifier,
@@ -19,7 +20,7 @@ from termex.classifier import (
 )
 from termex.corpus import SentenceLabel
 from termex.embeddings import SentenceVector
-from termex.errors import ConfigError, DimensionMismatchError
+from termex.errors import ConfigError, DimensionMismatchError, ModelFormatError
 
 
 def ex(values, label):
@@ -169,6 +170,30 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError):
             predict(zero_model(2), SentenceVector(np.zeros(5), 5))
 
+    def test_zero_evidence_is_negative(self):
+        model = ClassifierModel(
+            projection=np.eye(2), output_weights=np.zeros((2, 2)),
+            bias=np.array([3.0, -3.0]),
+        )
+        assert predict(model, SentenceVector(np.zeros(2), 2)).label is (
+            SentenceLabel.CONTAINS_TECH
+        )
+        p = predict(model, SentenceVector(np.zeros(2), 0))
+        assert p.label is SentenceLabel.NO_TECH
+        assert np.allclose(p.probabilities, softmax(model.bias))
+
+    def test_forward_skips_identity_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for d in (1, 2, 7, 32, 300):
+            model = new_model(d, seed=d)
+            model.bias = rng.normal(size=2)
+            xs = rng.normal(size=(9, d)) * 10.0 ** rng.integers(-8, 8, size=(9, 1))
+            hidden, logits = _forward(model, xs)
+            ref_hidden = xs @ model.projection.T
+            ref_logits = ref_hidden @ model.output_weights.T + model.bias
+            assert hidden.tobytes() == ref_hidden.tobytes()
+            assert logits.tobytes() == ref_logits.tobytes()
+
 
 class TestTraining:
     def test_separable_toy_reaches_full_accuracy(self):
@@ -228,6 +253,18 @@ class TestTraining:
         assert model.use_hidden
         assert not np.array_equal(model.projection, np.eye(10))
 
+    def test_epoch_loss_is_loss_of_the_training_set(self):
+        train = toy_set(n_per_class=20, sigma=1.5, seed=14)
+        val = toy_set(n_per_class=5, sigma=1.5, seed=15)
+        losses = []
+        model = train_classifier(
+            train,
+            val,
+            ClassifierConfig(epochs=1, learning_rate=0.3, seed=0),
+            callback=lambda e, m: losses.append(m["train_loss"]),
+        )
+        assert losses == [loss(model, train)]
+
     def test_empty_train_rejected(self):
         with pytest.raises(ConfigError):
             train_classifier([], [], ClassifierConfig())
@@ -247,3 +284,19 @@ class TestSerialization:
             b = predict(loaded, v)
             assert a.label is b.label
             assert np.array_equal(a.probabilities, b.probabilities)
+
+    @pytest.mark.parametrize(
+        "projection", [2.0 * np.eye(3), np.eye(3)[::-1].copy(), np.eye(4, 3)]
+    )
+    def test_untrained_projection_must_be_identity(self, tmp_path, projection):
+        h = projection.shape[0]
+        model = ClassifierModel(
+            projection=projection, output_weights=np.ones((2, h)), bias=np.zeros(2)
+        )
+        path = tmp_path / "cls.bin"
+        save_classifier(model, path)
+        with pytest.raises(ModelFormatError, match="identity"):
+            load_classifier(path)
+        model.use_hidden = True
+        save_classifier(model, path)
+        assert np.array_equal(load_classifier(path).projection, projection)

@@ -12,7 +12,6 @@ from termex.embeddings import (
     embed_sentence,
     generate_pairs,
     load_embeddings,
-    load_text_vectors,
     negative_distribution,
     negative_sampling_loss,
     save_embeddings,
@@ -20,7 +19,7 @@ from termex.embeddings import (
     train_skipgram,
 )
 from termex.errors import ConfigError, EmptyVocabularyError, ModelFormatError
-from tests.conftest import pair_loss, step_gradients
+from tests.conftest import load_text_vectors, pair_loss, step_gradients
 
 
 def make_sentence(words, index=0):
@@ -150,6 +149,49 @@ class TestGradient:
         expected = outputs[rows] @ inputs[0]
         scores = sgd_step(inputs, outputs, 0, rows, 0.1, repeated=False)
         assert np.array_equal(scores, expected)
+
+    @staticmethod
+    def reference_step(input_vectors, output_vectors, center, rows, lr):
+        """sgd_step written plainly: an outer product, np.add.at over every
+        row, and @."""
+        center_vec = input_vectors[center].copy()
+        block = output_vectors[rows]
+        scores = block @ center_vec
+        step = 1.0 / (1.0 + np.exp(-scores))
+        step[0] -= 1.0
+        step *= -lr
+        np.add.at(output_vectors, rows, np.multiply.outer(step, center_vec))
+        input_vectors[center] += step @ block
+        return scores
+
+    def test_step_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        repeated_blocks = 0
+        for dim in range(1, 17):
+            for trial in range(12):
+                n_rows = int(rng.integers(1, 9))
+                width = int(rng.integers(2, 8))
+                rows = rng.integers(0, n_rows, size=width)
+                if trial == 0:
+                    n_rows = max(n_rows, width)
+                    rows = rng.permutation(n_rows)[:width]  # all rows distinct
+                elif trial == 1:
+                    rows[int(rng.integers(1, width))] = rows[0]  # negative = context
+                elif trial == 2:
+                    rows[:] = rows[0]  # every row the same
+                inputs = rng.normal(scale=2.0, size=(3, dim))
+                outputs = rng.normal(scale=2.0, size=(n_rows, dim))
+                center = int(rng.integers(0, 3))
+                lr = float(rng.uniform(1e-4, 1.0))
+                repeated = len(set(rows.tolist())) < width
+                repeated_blocks += repeated
+                want_in, want_out = inputs.copy(), outputs.copy()
+                want = self.reference_step(want_in, want_out, center, rows, lr)
+                got = sgd_step(inputs, outputs, center, rows, lr, repeated)
+                assert got.tobytes() == want.tobytes()
+                assert inputs.tobytes() == want_in.tobytes()
+                assert outputs.tobytes() == want_out.tobytes()
+        assert 0 < repeated_blocks < 16 * 12  # both paths ran
 
     def test_loss_sums_blocks(self):
         scores = np.array([[0.3, -1.2, 2.0], [-0.7, 0.1, 0.0]])

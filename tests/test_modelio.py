@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from termex import modelio
-from termex.classifier import load_classifier
+from termex.classifier import load_classifier, save_classifier
 from termex.cli import main
 from termex.crf import CrfModel, load_crf, save_crf
 from termex.embeddings import (
@@ -156,3 +156,25 @@ class TestCorruptModels:
             path.unlink()
         capsys.readouterr()
         assert failed > 0
+
+    def test_extract_exits_2_on_untrained_non_identity_projection(
+        self, small_run, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "d1", "text": "We deployed Kafka on Docker."}) + "\n",
+            encoding="utf-8",
+        )
+        model = load_classifier(small_run.paths["classifier"])
+        assert not model.use_hidden
+        model.projection[0, 1] = 0.5
+        path = tmp_path / "classifier.bin"
+        save_classifier(model, path)
+        paths = {**small_run.paths, "classifier": str(path)}
+        code = main([
+            "extract", "--input", str(corpus), "--format", "jsonl",
+            "--out", str(tmp_path / "out.jsonl"),
+            *[arg for name in sorted(LOADERS) for arg in (f"--{name}", paths[name])],
+        ])
+        assert code == 2
+        assert "identity" in capsys.readouterr().err
