@@ -132,99 +132,99 @@ def negative_distribution(vocab: Vocabulary) -> np.ndarray:
     return weights / weights.sum()
 
 
-# Pairs per draw of negatives. Draws of consecutive chunks of pairs consume
-# the generator exactly as one draw for the whole epoch would, so the chunk
-# size bounds memory without changing the result.
-_CHUNK_PAIRS = 8192
+# Centers per training step. A sentence with more in-vocabulary positions is
+# cut into blocks of this many centers, each with the contexts up to `window`
+# positions beyond it, so that a step's scores stay ~BLOCK x BLOCK (K + 1)
+# however long the sentence.
+BLOCK = 256
 
 
-def negative_sampling_loss(scores: np.ndarray) -> float:
-    """Summed loss over blocks of scores u_r . v_center, where column 0 scores
-    the context word and the others the negatives:
-    -log s(x_context) - sum_k log s(-x_negative_k) per block."""
-    return float(
-        np.logaddexp(0.0, -scores[..., 0]).sum()
-        + np.logaddexp(0.0, scores[..., 1:]).sum()
-    )
+def sentence_blocks(
+    vocab: Vocabulary, sentence: Sentence, window: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, slice]]]:
+    """The in-vocabulary ids of a sentence, their token positions, and the
+    (centers, contexts) slices of its steps: blocks of at most BLOCK centers,
+    each with every position within `window` of one of them. Positions count
+    out-of-vocabulary tokens, so those still use up window slots."""
+    found = [
+        (at, idx)
+        for at, idx in enumerate(map(vocab.lookup, sentence.folded_texts()))
+        if idx is not None
+    ]
+    positions = np.array([at for at, _ in found], dtype=np.int64)
+    ids = np.array([idx for _, idx in found], dtype=np.int64)
+    blocks = []
+    for first in range(0, len(ids), BLOCK):
+        last = min(first + BLOCK, len(ids))
+        lo = np.searchsorted(positions, positions[first] - window)
+        hi = np.searchsorted(positions, positions[last - 1] + window, side="right")
+        blocks.append((slice(first, last), slice(int(lo), int(hi))))
+    return ids, positions, blocks
 
 
-def sgd_step(
+def window_mask(centers: np.ndarray, contexts: np.ndarray, window: int) -> np.ndarray:
+    """mask[a, b]: positions centers[a] and contexts[b] are 1 to window apart."""
+    distance = np.abs(centers[:, None] - contexts[None, :])
+    return (distance <= window) & (distance > 0)
+
+
+def scatter_add(
+    matrix: np.ndarray, rows: np.ndarray, coefficients: np.ndarray, basis: np.ndarray
+) -> None:
+    """matrix[rows] += coefficients @ basis, in place, with the updates of
+    repeated rows summed.
+
+    The rows are sorted, each distinct row's coefficients are summed by
+    np.add.reduceat, and every row is written once. np.add.at would cost
+    ~2.5 us per 300-wide row; a one-hot product would grow with the square
+    of the rows."""
+    order = rows.argsort(kind="stable")
+    ordered = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    matrix[ordered[starts]] += np.add.reduceat(coefficients[order], starts) @ basis
+
+
+def sentence_step(
     input_vectors: np.ndarray,
     output_vectors: np.ndarray,
-    center: int,
-    rows: np.ndarray,
-    lr: float,
-    repeated: bool,
-) -> np.ndarray:
-    """One SGD step on the negative-sampling loss of one pair, in place.
-
-    rows[0] is the context word and rows[1:] the negatives; repeated says
-    whether a row occurs twice in rows. Every gradient is taken at the
-    parameters before the step. Returns the scores before the step.
-
-    The step runs ~340k times per criterion-1 training, so it is written for
-    numpy's per-call overhead: np.dot instead of @, and in-place updates."""
-    center_vec = input_vectors[center]  # a view: updated in place below
-    block = output_vectors.take(rows, axis=0)
-    scores = np.dot(block, center_vec)
-    # d loss / d score: s(x) - 1 for the context, s(x) for each negative.
-    step = 1.0 / (1.0 + np.exp(-scores))
-    step[0] -= 1.0
-    step *= -lr
-    # The outer product as a rank-1 matrix product: each entry is one
-    # product, so it equals np.multiply.outer bit for bit, at half the cost.
-    delta = np.dot(step[:, None], center_vec[None, :])
-    if repeated:
-        # Adds row by row in the order np.add.at would, at a quarter of its
-        # per-call cost on a block this small.
-        for row, row_delta in zip(rows.tolist(), delta):
-            output_vectors[row] += row_delta
-    else:
-        delta += block
-        output_vectors[rows] = delta
-    center_vec += np.dot(step, block)
-    return scores
-
-
-def _run_pairs(
-    input_vectors: np.ndarray,
-    output_vectors: np.ndarray,
-    pairs: np.ndarray,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    mask: np.ndarray,
     negatives: np.ndarray,
-    lrs: np.ndarray,
+    lr: float,
 ) -> float:
-    """Sequential SGD over the pair stream; returns the summed loss.
+    """One SGD step, in place, on the summed negative-sampling loss of the
+    (centers[a], contexts[b]) pairs with mask[a, b], where each pair of
+    center a takes the K negatives negatives[a]:
+    -log s(u_context . v) - sum_k log s(-u_negative_k . v) per pair.
 
-    One update per pair, exactly as the objective is stated; batching pairs
-    would let frequent rows absorb many stale-gradient steps at once and
-    diverge at learning rates that per-pair SGD tolerates."""
-    blocks = np.concatenate([pairs[:, 1:], negatives], axis=1)
-    ordered = np.sort(blocks, axis=1)
-    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    scores = np.empty(blocks.shape)
-    # Divergent runs hit inf/nan transiently before the per-epoch finiteness
-    # check raises; keep numpy quiet about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, (center, lr, repeated) in enumerate(
-            zip(pairs[:, 0].tolist(), lrs.tolist(), repeats.tolist())
-        ):
-            scores[t] = sgd_step(
-                input_vectors, output_vectors, center, blocks[t], lr, repeated
-            )
-        return negative_sampling_loss(scores)
-
-
-def _collect_pairs(
-    corpus: Sequence[Sentence], vocab: Vocabulary, window: int
-) -> np.ndarray:
-    chunks = []
-    for sentence in corpus:
-        pairs = generate_pairs(vocab, sentence, window)
-        if pairs:
-            chunks.append(np.asarray(pairs, dtype=np.int64))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks, axis=0)
+    A center's negatives are scored once and weighted by its context count,
+    which is the same loss. Every gradient is taken at the parameters before
+    the step. Returns the loss before the step."""
+    n, k = negatives.shape
+    width = len(contexts)
+    rows = np.concatenate([contexts, negatives.ravel()])
+    center_vectors = input_vectors[centers]
+    block = output_vectors[rows]
+    # Scores signed so that every term of the loss is log(1 + e^x): minus
+    # u . v for a context, u . v for a negative.
+    signed = center_vectors @ block.T
+    signed[:, :width] *= -1.0
+    # Column width + a k + j holds center a's negative j, weighted by a's
+    # context count; other centers' negatives weigh 0 in row a.
+    counts = mask.sum(axis=1)
+    weights = np.concatenate(
+        [mask, np.diag(counts).repeat(k, axis=1)], axis=1, dtype=np.float64
+    )
+    loss = float((weights * np.logaddexp(0.0, signed)).sum())
+    # -lr times d loss / d (u . v): lr s(x) for a context, -lr s(x) for a
+    # negative.
+    step = weights / (1.0 + np.exp(-signed))
+    step[:, width:] *= -1.0
+    step *= lr
+    scatter_add(input_vectors, centers, step, block)
+    scatter_add(output_vectors, rows, step.T, center_vectors)
+    return loss
 
 
 def train_skipgram(
@@ -232,12 +232,14 @@ def train_skipgram(
     config: SkipgramConfig,
     callback: Callable[[int, dict], None] | None = None,
 ) -> EmbeddingModel:
-    """Train skipgram-with-negative-sampling embeddings.
+    """Train skipgram-with-negative-sampling embeddings, one step per
+    sentence (per block of a long one).
 
     Input vectors start uniform in [-0.5/dim, 0.5/dim), output vectors at
-    zero; negatives come from the unigram^(3/4) distribution; the learning
-    rate decays linearly to 1e-4 of its initial value over the total pair
-    count. Runs are bit-reproducible under a fixed seed."""
+    zero; each center draws its own negatives from the unigram^(3/4)
+    distribution, once per epoch; the learning rate decays linearly to 1e-4
+    of its initial value over the total pair count. Runs are
+    bit-reproducible under a fixed seed."""
     config.validate()
     corpus = list(corpus)
     if not corpus:
@@ -255,31 +257,49 @@ def train_skipgram(
     if config.epochs == 0:
         return model
 
-    pairs = _collect_pairs(corpus, vocab, config.window)
-    if len(pairs) == 0:
+    # Masks are built per step from positions: storing them all would cost
+    # more memory than building them costs time.
+    sentences = []
+    total_pairs = 0
+    for sentence in corpus:
+        pairs = len(generate_pairs(vocab, sentence, config.window))
+        if pairs:
+            sentences.append((*sentence_blocks(vocab, sentence, config.window), pairs))
+            total_pairs += pairs
+    if total_pairs == 0:
         return model
-    neg_probs = negative_distribution(vocab)
-    total_updates = len(pairs) * config.epochs
+    # The draws of rng.choice(len(vocab), size, p=negative_distribution(vocab)),
+    # without its per-call checks of p.
+    cdf = np.cumsum(negative_distribution(vocab))
+    cdf /= cdf[-1]
+    total_updates = total_pairs * config.epochs
+    done = 0
 
     for epoch in range(config.epochs):
         epoch_loss = 0.0
-        for first in range(0, len(pairs), _CHUNK_PAIRS):
-            chunk = pairs[first : first + _CHUNK_PAIRS]
-            negatives = rng.choice(
-                len(vocab), size=(len(chunk), config.negatives), p=neg_probs
-            )
-            done = epoch * len(pairs) + first
-            lrs = config.learning_rate * (
-                1.0
-                - (1.0 - 1e-4) * ((done + np.arange(len(chunk))) / total_updates)
-            )
-            epoch_loss += _run_pairs(
-                input_vectors, output_vectors, chunk, negatives, lrs
-            )
+        # Divergent runs hit inf/nan transiently before the per-epoch
+        # finiteness check raises; keep numpy quiet about it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ids, positions, blocks, pairs in sentences:
+                negatives = cdf.searchsorted(
+                    rng.random((len(ids), config.negatives)), side="right"
+                )
+                lr = config.learning_rate * (
+                    1.0 - (1.0 - 1e-4) * (done / total_updates)
+                )
+                for centers, contexts in blocks:
+                    mask = window_mask(
+                        positions[centers], positions[contexts], config.window
+                    )
+                    epoch_loss += sentence_step(
+                        input_vectors, output_vectors, ids[centers],
+                        ids[contexts], mask, negatives[centers], lr,
+                    )
+                done += pairs
         if not np.isfinite(epoch_loss):
             raise NonFiniteLossError(f"skipgram loss diverged at epoch {epoch}")
         if callback is not None:
-            callback(epoch, {"loss": epoch_loss / len(pairs)})
+            callback(epoch, {"loss": epoch_loss / total_pairs})
 
     return model
 

@@ -57,20 +57,15 @@ def word_shape(text: str) -> str:
     return "".join(out)
 
 
-def _ngrams(text: str, n_min: int, n_max: int, prefix: str = "") -> list[str]:
-    """prefix + each contiguous n-gram of the boundary-marked, lowercased
-    token, repeats included."""
+def _ngrams(text: str, n_min: int, n_max: int) -> list[str]:
+    """An NG feature for each contiguous n-gram of the boundary-marked,
+    lowercased token, repeats included."""
     marked = "<" + text.lower() + ">"
     return [
-        prefix + marked[at : at + n]
+        "NG=" + marked[at : at + n]
         for n in range(n_min, min(n_max, len(marked)) + 1)
         for at in range(len(marked) - n + 1)
     ]
-
-
-def char_ngrams(text: str, n_min: int = 2, n_max: int = 4) -> set[str]:
-    """All contiguous n-grams of the boundary-marked, lowercased token."""
-    return set(_ngrams(text, n_min, n_max))
 
 
 def _tag_token(text: str) -> CoarsePosTag:
@@ -95,57 +90,26 @@ def pos_tag(sentence: Sentence) -> list[CoarsePosTag]:
     return [_tag_token(t.text) for t in sentence.tokens]
 
 
-def extract_features(
-    sentence: Sentence,
-    pos_tags: Sequence[CoarsePosTag],
-    i: int,
-    config: FeatureConfig = DEFAULT_FEATURES,
-) -> SparseFeatures:
-    """Fire the full template set for token position i.
-
-    Output depends only on tokens within the context window of i plus the
-    tags and shapes of the immediate neighbours."""
-    words = sentence.folded_texts()
-    n = len(words)
-    if not 0 <= i < n:
-        raise IndexError(f"position {i} out of range for {n} tokens")
-
-    fired = {
-        f"W0={words[i]}",
-        f"W-1={words[i - 1] if i > 0 else '<BOS>'}",
-        f"W+1={words[i + 1] if i + 1 < n else '<EOS>'}",
-        f"P0={pos_tags[i].value}",
-        f"SH0={word_shape(sentence.tokens[i].text)}",
-    }
-    fired.update(
-        f"NG={g}"
-        for g in char_ngrams(sentence.tokens[i].text, config.ngram_min, config.ngram_max)
-    )
-
-    tag_left = pos_tags[i - 1].value if i > 0 else "BOS"
-    tag_right = pos_tags[i + 1].value if i + 1 < n else "EOS"
-    fired.add(f"PSEQ={tag_left}_{pos_tags[i].value}_{tag_right}")
-
-    shape_left = word_shape(sentence.tokens[i - 1].text) if i > 0 else "BOS"
-    shape_right = word_shape(sentence.tokens[i + 1].text) if i + 1 < n else "EOS"
-    fired.add(f"SHSEQ={shape_left}_{word_shape(sentence.tokens[i].text)}_{shape_right}")
-
-    fired.update(f"LW={w}" for w in words[max(0, i - config.window) : i])
-    fired.update(f"RW={w}" for w in words[i + 1 : i + 1 + config.window])
-    return SparseFeatures(frozenset(fired))
-
-
 def sentence_features(
     sentence: Sentence, config: FeatureConfig = DEFAULT_FEATURES
 ) -> list[SparseFeatures]:
-    """extract_features at every position, in one pass: each token is
-    folded, tagged and shaped once, and its n-gram and context-word strings
-    are built once."""
+    """The features fired at every token position i, in one pass:
+
+    - W0, W-1 and W+1: the case-folded word at i, i - 1 and i + 1, with
+      <BOS> and <EOS> past the ends;
+    - P0 and SH0: the coarse tag and the shape of token i; PSEQ and SHSEQ:
+      those of tokens i - 1, i and i + 1, with BOS and EOS past the ends;
+    - NG: each n-gram of the boundary-marked, lowercased token i;
+    - LW and RW: the case-folded words up to config.window positions left
+      and right of i.
+
+    Each token is folded, tagged and shaped once, and its n-gram and
+    context-word strings are built once."""
     texts = sentence.token_texts()
     words = [text.casefold() for text in texts]
     tags = [_tag_token(text).value for text in texts]
     shapes = [word_shape(text) for text in texts]
-    grams = [_ngrams(text, config.ngram_min, config.ngram_max, "NG=") for text in texts]
+    grams = [_ngrams(text, config.ngram_min, config.ngram_max) for text in texts]
     left = [f"LW={w}" for w in words]
     right = [f"RW={w}" for w in words]
     # Padded by one on each side: entry i is the left neighbour of token i,

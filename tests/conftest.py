@@ -9,8 +9,7 @@ from termex.embeddings import (
     EmbeddingModel,
     SkipgramConfig,
     Vocabulary,
-    negative_sampling_loss,
-    sgd_step,
+    sentence_step,
 )
 from termex.errors import ConfigError, EmptyVocabularyError
 from termex.pipeline import PipelineResult, run_pipeline
@@ -72,17 +71,34 @@ def small_run(gazetteer_file, tmp_path_factory) -> PipelineResult:
     return run_pipeline(cfg, workdir=workdir)
 
 
-def pair_loss(input_vectors, output_vectors, center, rows):
-    """Negative-sampling loss of one pair; rows[0] is the context word."""
-    return negative_sampling_loss(output_vectors[rows] @ input_vectors[center])
+def negative_sampling_loss(scores):
+    """Summed loss over blocks of scores u_r . v_center, where column 0 scores
+    the context word and the others the negatives:
+    -log s(x_context) - sum_k log s(-x_negative_k) per block."""
+    return float(
+        np.logaddexp(0.0, -scores[..., 0]).sum()
+        + np.logaddexp(0.0, scores[..., 1:]).sum()
+    )
 
 
-def step_gradients(input_vectors, output_vectors, center, rows):
+def pair_loss(input_vectors, output_vectors, centers, contexts, mask, negatives):
+    """The per-pair negative-sampling losses summed over the pairs of mask,
+    pair by pair: (centers[a], contexts[b]) with mask[a, b] scores the
+    context word and center a's own negatives[a]."""
+    total = 0.0
+    for a, b in zip(*np.nonzero(mask)):
+        rows = [contexts[b], *negatives[a]]
+        total += negative_sampling_loss(
+            output_vectors[rows] @ input_vectors[centers[a]]
+        )
+    return total
+
+
+def step_gradients(input_vectors, output_vectors, centers, contexts, mask, negatives):
     """Gradients of pair_loss as the training step applies them: at learning
     rate 1 the step moves each matrix by minus its gradient."""
     inputs, outputs = input_vectors.copy(), output_vectors.copy()
-    repeated = len(set(rows.tolist())) < len(rows)
-    sgd_step(inputs, outputs, center, rows, 1.0, repeated)
+    sentence_step(inputs, outputs, centers, contexts, mask, negatives, 1.0)
     return input_vectors - inputs, output_vectors - outputs
 
 

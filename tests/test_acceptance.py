@@ -54,6 +54,7 @@ from termex.embeddings import (
     load_embeddings,
     save_embeddings,
     train_skipgram,
+    window_mask,
 )
 from termex.evaluation import ConfusionCounts, f_score
 from termex.features import FeatureIndex, SparseFeatures, sentence_features
@@ -306,17 +307,24 @@ def _shared_context_corpus(n=500):
 
 def test_criterion_5_embeddings():
     def body():
-        # the training step's negative-sampling gradient vs finite
-        # differences, relative 1e-5, with and without a repeated row
+        # the training step's gradient of the summed per-pair negative-
+        # sampling loss vs finite differences, relative 1e-5: a sentence of
+        # distinct words and one with a repeated word, with negatives that
+        # repeat across centers and equal context words
         rng = np.random.default_rng(51)
-        inputs = rng.normal(size=(3, 4))
+        inputs = rng.normal(size=(5, 4))
         outputs = rng.normal(size=(5, 4))
-        for rows in ([2, 0, 4, 1], [2, 0, 2, 4]):
-            rows = np.array(rows)
-            grads = step_gradients(inputs, outputs, 1, rows)
+        positions = np.arange(4)
+        mask = window_mask(positions, positions, 2)
+        for ids, negatives in (
+            ([2, 0, 4, 1], [[3, 1], [3, 2], [0, 3], [2, 0]]),
+            ([2, 0, 2, 4], [[0, 1], [1, 3], [4, 3], [2, 1]]),
+        ):
+            args = (np.array(ids), np.array(ids), mask, np.array(negatives))
+            grads = step_gradients(inputs, outputs, *args)
             for arr, grad in zip((inputs, outputs), grads):
                 numeric = _fd_grad(
-                    lambda: pair_loss(inputs, outputs, 1, rows), arr, eps=1e-6
+                    lambda: pair_loss(inputs, outputs, *args), arr, eps=1e-6
                 )
                 rel = np.abs(grad - numeric) / (np.abs(numeric) + 1e-12)
                 assert np.max(rel) < 1e-5

@@ -1,10 +1,16 @@
+import dataclasses
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termex import embeddings
 from termex.corpus import Sentence, Token
 from termex.embeddings import (
+    BLOCK,
     EmbeddingModel,
     SkipgramConfig,
     Vocabulary,
@@ -13,13 +19,20 @@ from termex.embeddings import (
     generate_pairs,
     load_embeddings,
     negative_distribution,
-    negative_sampling_loss,
     save_embeddings,
-    sgd_step,
+    scatter_add,
+    sentence_blocks,
+    sentence_step,
     train_skipgram,
+    window_mask,
 )
 from termex.errors import ConfigError, EmptyVocabularyError, ModelFormatError
-from tests.conftest import load_text_vectors, pair_loss, step_gradients
+from tests.conftest import (
+    load_text_vectors,
+    negative_sampling_loss,
+    pair_loss,
+    step_gradients,
+)
 
 
 def make_sentence(words, index=0):
@@ -113,27 +126,75 @@ class TestGeneratePairs:
         with pytest.raises(ConfigError):
             generate_pairs(vocab, make_sentence(["a"]), 0)
 
+    def test_training_masks_give_the_same_pairs(self):
+        # The (center, context) multiset of the training step's masks, over
+        # all blocks of a sentence, is generate_pairs's.
+        rng = np.random.default_rng(12)
+        words = [f"w{i}" for i in range(40)]
+        vocab = build_vocab([make_sentence(words[:30])], min_count=1)  # w30+ OOV
+        lengths = [1, 2, 7, 30, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 37]
+        most_blocks = 0
+        for length in lengths:
+            for window in range(1, 7):
+                sentence = make_sentence(list(rng.choice(words, length)))
+                ids, positions, blocks = sentence_blocks(vocab, sentence, window)
+                most_blocks = max(most_blocks, len(blocks))
+                got = Counter()
+                for centers, contexts in blocks:
+                    mask = window_mask(positions[centers], positions[contexts], window)
+                    for a, b in zip(*np.nonzero(mask)):
+                        got[ids[centers][a], ids[contexts][b]] += 1
+                    assert centers.stop - centers.start <= BLOCK
+                assert got == Counter(generate_pairs(vocab, sentence, window))
+        assert most_blocks >= 3
+
 
 class TestGradient:
+    # (ids, positions, centers, contexts, window, negatives of each center):
+    # one step's sentence, the slices of its block, and the draws.
+    CASES = [
+        # distinct words, an out-of-vocabulary gap at position 3
+        ([2, 0, 4, 1], [0, 1, 2, 4], slice(0, 4), slice(0, 4), 2,
+         [[3, 5], [6, 3], [5, 6], [3, 6]]),
+        # a word repeated within the sentence
+        ([2, 0, 2, 4], [0, 1, 2, 3], slice(0, 4), slice(0, 4), 2,
+         [[3, 5], [6, 3], [5, 6], [3, 6]]),
+        # a negative equal to a context word, and one equal to the center
+        ([2, 0, 4, 1], [0, 1, 2, 3], slice(0, 4), slice(0, 4), 1,
+         [[0, 5], [0, 6], [1, 1], [4, 2]]),
+        # every row the same
+        ([3, 3, 3], [0, 1, 2], slice(0, 3), slice(0, 3), 2,
+         [[3, 3], [3, 3], [3, 3]]),
+        # a block whose contexts reach beyond its centers
+        ([2, 0, 4, 1, 5], [0, 1, 2, 3, 4], slice(1, 3), slice(0, 5), 2,
+         [[3, 0], [6, 4]]),
+    ]
+
+    @staticmethod
+    def unpack(case):
+        ids, positions, centers, contexts, window, negatives = case
+        ids, positions = np.array(ids), np.array(positions)
+        mask = window_mask(positions[centers], positions[contexts], window)
+        return ids[centers], ids[contexts], mask, np.array(negatives)
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        inputs = rng.normal(size=(3, 4))
-        outputs = rng.normal(size=(5, 4))
+        inputs = rng.normal(size=(7, 4))
+        outputs = rng.normal(size=(7, 4))
         eps = 1e-6
         worst = 0.0
-        # distinct rows, a negative repeating the context, and all one row
-        for rows in ([2, 0, 4, 1], [2, 0, 2, 4], [3, 3, 3]):
-            rows = np.array(rows)
-            grads = step_gradients(inputs, outputs, 1, rows)
+        for case in self.CASES:
+            args = self.unpack(case)
+            grads = step_gradients(inputs, outputs, *args)
             for arr, grad in zip((inputs, outputs), grads):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index
                     old = arr[idx]
                     arr[idx] = old + eps
-                    up = pair_loss(inputs, outputs, 1, rows)
+                    up = pair_loss(inputs, outputs, *args)
                     arr[idx] = old - eps
-                    down = pair_loss(inputs, outputs, 1, rows)
+                    down = pair_loss(inputs, outputs, *args)
                     arr[idx] = old
                     numeric = (up - down) / (2 * eps)
                     worst = max(
@@ -141,57 +202,78 @@ class TestGradient:
                     )
         assert worst < 1e-5
 
-    def test_step_returns_scores_before_the_update(self):
+    def test_step_returns_loss_before_the_update(self):
         rng = np.random.default_rng(8)
-        inputs = rng.normal(size=(2, 3))
-        outputs = rng.normal(size=(4, 3))
-        rows = np.array([1, 3, 0])
-        expected = outputs[rows] @ inputs[0]
-        scores = sgd_step(inputs, outputs, 0, rows, 0.1, repeated=False)
-        assert np.array_equal(scores, expected)
+        for case in self.CASES:
+            args = self.unpack(case)
+            inputs = rng.normal(size=(7, 3))
+            outputs = rng.normal(size=(7, 3))
+            expected = pair_loss(inputs, outputs, *args)
+            before = inputs.copy()
+            loss = sentence_step(inputs, outputs, *args, 0.1)
+            assert loss == pytest.approx(expected, rel=1e-12)
+            assert not np.array_equal(inputs, before)
 
     @staticmethod
-    def reference_step(input_vectors, output_vectors, center, rows, lr):
-        """sgd_step written plainly: an outer product, np.add.at over every
-        row, and @."""
-        center_vec = input_vectors[center].copy()
-        block = output_vectors[rows]
-        scores = block @ center_vec
-        step = 1.0 / (1.0 + np.exp(-scores))
-        step[0] -= 1.0
-        step *= -lr
-        np.add.at(output_vectors, rows, np.multiply.outer(step, center_vec))
-        input_vectors[center] += step @ block
-        return scores
+    def reference_step(inputs, outputs, centers, contexts, mask, negatives, lr):
+        """sentence_step written plainly: per-pair gradients, taken before
+        the step and summed with np.add.at."""
+        grad_in = np.zeros_like(inputs)
+        grad_out = np.zeros_like(outputs)
+        for a, b in zip(*np.nonzero(mask)):
+            center = inputs[centers[a]]
+            rows = [contexts[b], *negatives[a]]
+            scores = outputs[rows] @ center
+            step = 1.0 / (1.0 + np.exp(-scores))
+            step[0] -= 1.0
+            grad_in[centers[a]] += step @ outputs[rows]
+            np.add.at(grad_out, rows, np.multiply.outer(step, center))
+        inputs -= lr * grad_in
+        outputs -= lr * grad_out
 
-    def test_step_matches_reference_bit_for_bit(self):
+    def test_step_matches_reference(self):
+        # Sums run in another order, so the two agree to rounding, not bits.
         rng = np.random.default_rng(21)
-        repeated_blocks = 0
         for dim in range(1, 17):
-            for trial in range(12):
-                n_rows = int(rng.integers(1, 9))
-                width = int(rng.integers(2, 8))
-                rows = rng.integers(0, n_rows, size=width)
-                if trial == 0:
-                    n_rows = max(n_rows, width)
-                    rows = rng.permutation(n_rows)[:width]  # all rows distinct
-                elif trial == 1:
-                    rows[int(rng.integers(1, width))] = rows[0]  # negative = context
-                elif trial == 2:
-                    rows[:] = rows[0]  # every row the same
-                inputs = rng.normal(scale=2.0, size=(3, dim))
-                outputs = rng.normal(scale=2.0, size=(n_rows, dim))
-                center = int(rng.integers(0, 3))
+            for _ in range(6):
+                size = int(rng.integers(1, 9))
+                length = int(rng.integers(2, 12))
+                ids = rng.integers(0, size, length)
+                positions = np.sort(rng.choice(2 * length, length, replace=False))
+                first = int(rng.integers(0, length))
+                centers = slice(first, int(rng.integers(first + 1, length + 1)))
+                window = int(rng.integers(1, 4))
+                mask = window_mask(positions[centers], positions, window)
+                negatives = rng.integers(0, size, (centers.stop - first, 3))
+                inputs = rng.normal(scale=2.0, size=(size, dim))
+                outputs = rng.normal(scale=2.0, size=(size, dim))
                 lr = float(rng.uniform(1e-4, 1.0))
-                repeated = len(set(rows.tolist())) < width
-                repeated_blocks += repeated
                 want_in, want_out = inputs.copy(), outputs.copy()
-                want = self.reference_step(want_in, want_out, center, rows, lr)
-                got = sgd_step(inputs, outputs, center, rows, lr, repeated)
-                assert got.tobytes() == want.tobytes()
-                assert inputs.tobytes() == want_in.tobytes()
-                assert outputs.tobytes() == want_out.tobytes()
-        assert 0 < repeated_blocks < 16 * 12  # both paths ran
+                self.reference_step(
+                    want_in, want_out, ids[centers], ids, mask, negatives, lr
+                )
+                sentence_step(inputs, outputs, ids[centers], ids, mask, negatives, lr)
+                np.testing.assert_allclose(inputs, want_in, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(outputs, want_out, rtol=1e-12, atol=1e-12)
+
+    def test_scatter_matches_add_at(self):
+        # The one-hot product sums in another order than np.add.at does.
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            size = int(rng.integers(1, 12))
+            count = int(rng.integers(1, 30))
+            rows = rng.integers(0, size, count)
+            if trial % 3 == 0:
+                rows[:] = rows[0]  # every row the same
+            coefficients = rng.normal(size=(count, int(rng.integers(1, 9))))
+            basis = rng.normal(size=(coefficients.shape[1], int(rng.integers(1, 20))))
+            matrix = rng.normal(size=(size, basis.shape[1]))
+            want = matrix.copy()
+            np.add.at(want, rows, coefficients @ basis)
+            scatter_add(matrix, rows, coefficients, basis)
+            np.testing.assert_allclose(matrix, want, rtol=1e-12, atol=0)
+            untouched = np.setdiff1d(np.arange(size), rows)
+            assert matrix[untouched].tobytes() == want[untouched].tobytes()
 
     def test_loss_sums_blocks(self):
         scores = np.array([[0.3, -1.2, 2.0], [-0.7, 0.1, 0.0]])
@@ -253,13 +335,76 @@ class TestTraining:
         assert cosine(alpha, beta) > cosine(alpha, unrelated)
 
     def test_stays_finite_at_max_contract_rate(self):
+        # 0.1 is the contract's rate; the step is measured stable to 0.2.
         corpus = shared_context_corpus(seed=3, n=200)
-        cfg = SkipgramConfig(
-            dim=16, window=2, negatives=5, epochs=3, learning_rate=0.1, seed=0
-        )
+        for rate in (0.1, 0.2):
+            cfg = SkipgramConfig(
+                dim=16, window=2, negatives=5, epochs=3, learning_rate=rate, seed=0
+            )
+            model = train_skipgram(corpus, cfg)
+            assert np.isfinite(model.input_vectors).all()
+            assert np.isfinite(model.output_vectors).all()
+
+    @pytest.mark.parametrize(
+        "sentences, min_count",
+        [
+            ([["a"], ["b"], ["a"]], 1),  # single-token sentences
+            ([["a", "zzz", "b"], ["b", "yyy", "a"]], 2),  # two apart, window 1
+        ],
+    )
+    def test_corpus_without_pairs_returns_initialization(self, sentences, min_count):
+        corpus = [make_sentence(words) for words in sentences]
+        cfg = SkipgramConfig(dim=6, window=1, epochs=3, min_count=min_count, seed=9)
+        calls = []
+        model = train_skipgram(corpus, cfg, callback=lambda *args: calls.append(args))
+        init = train_skipgram(corpus, dataclasses.replace(cfg, epochs=0))
+        assert calls == []
+        assert model.input_vectors.tobytes() == init.input_vectors.tobytes()
+        assert model.output_vectors.tobytes() == init.output_vectors.tobytes()
+
+    def test_negatives_drawn_per_center(self, monkeypatch):
+        # One draw of n x K per sentence and epoch, in corpus order, each
+        # center taking its own row: the draws of rng.choice.
+        corpus = shared_context_corpus(seed=4, n=30)
+        corpus.append(make_sentence(["alpha"]))  # no pair: draws nothing
+        cfg = SkipgramConfig(dim=4, window=1, negatives=3, epochs=2, seed=5)
+        seen = []
+        step = embeddings.sentence_step
+
+        def recording_step(inputs, outputs, centers, contexts, mask, negatives, lr):
+            seen.append(negatives.copy())
+            return step(inputs, outputs, centers, contexts, mask, negatives, lr)
+
+        monkeypatch.setattr(embeddings, "sentence_step", recording_step)
         model = train_skipgram(corpus, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        rng.random((len(model.vocab), cfg.dim))
+        probs = negative_distribution(model.vocab)
+        want = [
+            rng.choice(len(model.vocab), size=(len(s.tokens), cfg.negatives), p=probs)
+            for _ in range(cfg.epochs)
+            for s in corpus[:-1]
+        ]
+        assert len(seen) == len(want)
+        for got, drawn in zip(seen, want):
+            assert np.array_equal(got, drawn)
+
+    def test_long_sentence_memory_is_bounded(self):
+        # One 5,000-token sentence, all in vocabulary. A dense 5,000-position
+        # step would need ~1.2 GB of scores; blocks of BLOCK centers peak at
+        # ~17 MB, mostly a block's scores and their temporaries.
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in rng.integers(0, 1000, 5000)]
+        corpus = [make_sentence(words)]
+        cfg = SkipgramConfig(dim=64, window=5, negatives=5, epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            model = train_skipgram(corpus, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert np.isfinite(model.input_vectors).all()
-        assert np.isfinite(model.output_vectors).all()
+        assert peak < 32 * 2**20
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):

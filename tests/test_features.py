@@ -4,16 +4,61 @@ from hypothesis import strategies as st
 
 from termex.corpus import Sentence, Token
 from termex.features import (
+    DEFAULT_FEATURES,
     CoarsePosTag,
     FeatureConfig,
     FeatureIndex,
     SparseFeatures,
-    char_ngrams,
-    extract_features,
     pos_tag,
     sentence_features,
     word_shape,
 )
+
+
+def char_ngrams(text, n_min=2, n_max=4):
+    """All contiguous n-grams of the boundary-marked, lowercased token."""
+    marked = "<" + text.lower() + ">"
+    return {
+        marked[at : at + n]
+        for n in range(n_min, n_max + 1)
+        for at in range(len(marked) - n + 1)
+    }
+
+
+def extract_features(sentence, pos_tags, i, config=DEFAULT_FEATURES):
+    """The template set for token position i, written plainly: the
+    reference that sentence_features must equal at every position.
+
+    Output depends only on tokens within the context window of i plus the
+    tags and shapes of the immediate neighbours."""
+    words = sentence.folded_texts()
+    n = len(words)
+    if not 0 <= i < n:
+        raise IndexError(f"position {i} out of range for {n} tokens")
+
+    fired = {
+        f"W0={words[i]}",
+        f"W-1={words[i - 1] if i > 0 else '<BOS>'}",
+        f"W+1={words[i + 1] if i + 1 < n else '<EOS>'}",
+        f"P0={pos_tags[i].value}",
+        f"SH0={word_shape(sentence.tokens[i].text)}",
+    }
+    fired.update(
+        f"NG={g}"
+        for g in char_ngrams(sentence.tokens[i].text, config.ngram_min, config.ngram_max)
+    )
+
+    tag_left = pos_tags[i - 1].value if i > 0 else "BOS"
+    tag_right = pos_tags[i + 1].value if i + 1 < n else "EOS"
+    fired.add(f"PSEQ={tag_left}_{pos_tags[i].value}_{tag_right}")
+
+    shape_left = word_shape(sentence.tokens[i - 1].text) if i > 0 else "BOS"
+    shape_right = word_shape(sentence.tokens[i + 1].text) if i + 1 < n else "EOS"
+    fired.add(f"SHSEQ={shape_left}_{word_shape(sentence.tokens[i].text)}_{shape_right}")
+
+    fired.update(f"LW={w}" for w in words[max(0, i - config.window) : i])
+    fired.update(f"RW={w}" for w in words[i + 1 : i + 1 + config.window])
+    return SparseFeatures(frozenset(fired))
 
 
 def make_sentence(words):
