@@ -129,7 +129,7 @@ def cmd_train(args) -> int:
     model = train_crf(
         dataset,
         cfg.crf,
-        callback=lambda e, m: print(f"epoch {e}: nll={m['nll']:.4f}"),
+        callback=lambda e, m: print(f"iteration {e}:", *(f"{k}={v:.10g}" for k, v in m.items())),
     )
     save_crf(model, args.out)
     print(f"crf: {len(model.feature_index)} features -> {args.out}")

@@ -56,8 +56,7 @@ _KEYS = {
     },
     "classifier": {"epochs", "learning_rate", "l2", "use_hidden", "batch_size"},
     "crf": {
-        "epochs", "learning_rate", "l2", "feature_min_count",
-        "ngram_min", "ngram_max", "window",
+        "epochs", "l2", "feature_min_count", "ngram_min", "ngram_max", "window",
     },
 }
 
@@ -152,7 +151,6 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     kbase = cfg.crf
     cfg.crf = CrfConfig(
         epochs=_get(crf, "epochs", int, kbase.epochs),
-        learning_rate=_get(crf, "learning_rate", float, kbase.learning_rate),
         l2=_get(crf, "l2", float, kbase.l2),
         feature_min_count=_get(crf, "feature_min_count", int, kbase.feature_min_count),
         feature_config=FeatureConfig(

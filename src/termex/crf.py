@@ -3,6 +3,7 @@ forward-backward, Viterbi decoding, and maximum-likelihood training."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import modelio
 from .corpus import TokenLabel
-from .errors import ConfigError, LengthMismatchError, ModelFormatError, NonFiniteLossError
+from .errors import ConfigError, LengthMismatchError, ModelFormatError
 from .features import FeatureConfig, FeatureIndex, SparseFeatures
 
 MAGIC = b"TXCRF"
@@ -211,8 +212,7 @@ def marginals(table: PotentialTable) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CrfConfig:
-    epochs: int = 100
-    learning_rate: float = 0.05
+    epochs: int = 100  # a cap on L-BFGS steps
     l2: float = 1.0
     feature_min_count: int = 2
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
@@ -220,8 +220,6 @@ class CrfConfig:
     def validate(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.l2 < 0:
             raise ConfigError(f"l2 must be non-negative, got {self.l2}")
         if self.feature_min_count < 1:
@@ -321,15 +319,70 @@ def regularized_log_likelihood_and_gradient(
     return value, grad_emission, grad_transition
 
 
+# L-BFGS (Liu & Nocedal 1989): pairs kept, least y.s of a kept pair, Armijo
+# constant, halvings before the line search gives up, stopping tolerances.
+_HISTORY, _CURVATURE_MIN, _ARMIJO_C1, _MAX_HALVINGS = 10, 1e-10, 1e-4, 20
+_RELATIVE_TOL, _GRADIENT_TOL = 1e-11, 1e-5
+
+
+def lbfgs_maximize(
+    fun: Callable, x0: np.ndarray, max_iter: int, callback: Callable | None = None
+) -> np.ndarray:
+    """Maximize fun, which returns (value, gradient), from x0 by L-BFGS with a
+    backtracking Armijo line search that halves from a unit step.
+
+    Stops after max_iter steps, when a step raises the value by at most
+    _RELATIVE_TOL * max(1, |value|), when ||g|| <= _GRADIENT_TOL * max(1, ||x||),
+    or when the line search fails, where a non-finite value fails too. After
+    each step, callback(step, x, value, gradient, evaluations)."""
+    x = np.array(x0, dtype=float)
+    value, grad = fun(x)
+    evaluations = 1
+    pairs: collections.deque = collections.deque(maxlen=_HISTORY)  # (s, y, 1 / y.s)
+    for step in range(max_iter):
+        if np.linalg.norm(grad) <= _GRADIENT_TOL * max(1.0, np.linalg.norm(x)):
+            break
+        # Two-loop recursion for the ascent direction H g. y = g_old - g_new is
+        # the gradient change of -fun; H stays positive definite as y.s > 0.
+        direction, alphas = grad.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ direction))
+            direction -= alphas[-1] * y
+        direction *= scale if pairs else 1.0 / np.linalg.norm(grad)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            direction += (alpha - rho * (y @ direction)) * s
+        slope, t = float(grad @ direction), 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = x + t * direction
+            trial_value, trial_grad = fun(trial)
+            evaluations += 1
+            if np.isfinite(trial_value) and trial_value >= value + _ARMIJO_C1 * t * slope:
+                break
+            t /= 2
+        else:
+            break
+        s, y = trial - x, grad - trial_grad
+        if y @ s > _CURVATURE_MIN:
+            pairs.append((s, y, 1.0 / (y @ s)))
+            scale = (s @ y) / (y @ y)  # the newest pair's s.y / y.y
+        if callback is not None:
+            callback(step, trial, trial_value, trial_grad, evaluations)
+        if trial_value - value <= _RELATIVE_TOL * max(abs(value), 1.0):
+            return trial
+        x, value, grad = trial, trial_value, trial_grad
+    return x
+
+
 def train_crf(
     dataset: Sequence[TrainingSequence],
     config: CrfConfig,
     index: FeatureIndex | None = None,
     callback: Callable[[int, dict], None] | None = None,
 ) -> CrfModel:
-    """Batch gradient ascent on the regularized log-likelihood from a zero
-    initialization. Deterministic: the update depends only on the data order
-    and the fixed learning rate."""
+    """Maximize the regularized log-likelihood by L-BFGS from zero weights,
+    for at most config.epochs steps; deterministic. callback(step, metrics)
+    gets the objective, the nll (minus the objective without its l2 penalty),
+    the gradient norm and the objective evaluations so far."""
     config.validate()
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -339,32 +392,22 @@ def train_crf(
             min_count=config.feature_min_count,
         )
     prepared = prepare_dataset(dataset, index)
-    emission = np.zeros((len(index), 2))
-    transition = np.zeros((3, 2))
+    split = 2 * len(index)  # x is [emission.ravel(), transition.ravel()]
 
-    for epoch in range(config.epochs):
-        value, grad_emission, grad_transition = (
-            regularized_log_likelihood_and_gradient(
-                prepared, emission, transition, config.l2
-            )
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad_emission, grad_transition = regularized_log_likelihood_and_gradient(
+            prepared, x[:split].reshape(-1, 2), x[split:].reshape(3, 2), config.l2
         )
-        if not np.isfinite(value):
-            raise NonFiniteLossError(f"CRF objective diverged at epoch {epoch}")
-        penalty = 0.5 * config.l2 * (
-            float((emission**2).sum()) + float((transition**2).sum())
-        )
-        emission += config.learning_rate * grad_emission
-        transition += config.learning_rate * grad_transition
-        if callback is not None:
-            callback(epoch, {"objective": value, "nll": -(value + penalty)})
+        return value, np.concatenate([grad_emission.ravel(), grad_transition.ravel()])
 
-    return CrfModel(
-        feature_index=index,
-        emission_weights=emission,
-        transition_weights=transition,
-        l2=config.l2,
-        feature_config=config.feature_config,
-    )
+    def report(step, x, value, grad, evals):
+        nll = -(value + 0.5 * config.l2 * float(x @ x))
+        grad_norm = float(np.linalg.norm(grad))
+        callback(step, dict(objective=value, nll=nll, grad_norm=grad_norm, evaluations=evals))
+
+    x = lbfgs_maximize(objective, np.zeros(split + 6), config.epochs, callback and report)
+    emission, transition = x[:split].reshape(-1, 2), x[split:].reshape(3, 2)
+    return CrfModel(index, emission, transition, config.l2, config.feature_config)
 
 
 def save_crf(model: CrfModel, path: str | Path) -> None:
@@ -404,6 +447,9 @@ def load_crf(path: str | Path) -> CrfModel:
     index = FeatureIndex.from_strings(strings)
     if len(index) != count:
         raise ModelFormatError("repeated feature strings in the CRF model")
+    # Ids follow sorted-string order, but older files hold their strings in
+    # first-seen order: the emission rows move with their strings.
+    emission = emission[sorted(range(count), key=strings.__getitem__)]
     return CrfModel(
         feature_index=index,
         emission_weights=emission,

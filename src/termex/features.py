@@ -3,7 +3,9 @@ context, character n-grams, coarse orthographic tags, and word shapes."""
 
 from __future__ import annotations
 
+import itertools
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -33,11 +35,6 @@ DEFAULT_FEATURES = FeatureConfig()
 @dataclass(frozen=True)
 class SparseFeatures:
     fired: frozenset[str]
-
-    def ordered(self) -> list[str]:
-        # Sorted view so downstream float accumulation has a fixed order
-        # regardless of the process hash seed.
-        return sorted(self.fired)
 
 
 def word_shape(text: str) -> str:
@@ -139,7 +136,8 @@ def sentence_features(
 
 class FeatureIndex:
     """Dense ids for feature strings; frozen after building, so unseen
-    features at inference map to nothing."""
+    features at inference map to nothing. Freezing numbers the features in
+    sorted-string order, so sorted ids are ids of sorted strings."""
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
@@ -151,22 +149,16 @@ class FeatureIndex:
     def __contains__(self, feature: str) -> bool:
         return feature in self._ids
 
-    def add(self, feature: str) -> int:
+    def add(self, feature: str) -> None:
         if self.frozen:
             raise ValueError("feature index is frozen")
-        if feature not in self._ids:
-            self._ids[feature] = len(self._ids)
-        return self._ids[feature]
+        self._ids.setdefault(feature, len(self._ids))
 
     def freeze(self) -> "FeatureIndex":
         self.frozen = True
-        # Each feature's rank in sorted-string order, and the id at each
-        # rank, so that ids() sorts small ints instead of strings. _known is
-        # a frozenset because intersecting two sets walks the smaller one.
-        ordered = sorted(self._ids)
-        self._known = frozenset(ordered)
-        self._ranks = {feature: rank for rank, feature in enumerate(ordered)}
-        self._ids_by_rank = [self._ids[feature] for feature in ordered]
+        self._ids = {feature: idx for idx, feature in enumerate(sorted(self._ids))}
+        # A frozenset, because intersecting two sets walks the smaller one.
+        self._known = frozenset(self._ids)
         return self
 
     def lookup(self, feature: str) -> int | None:
@@ -177,35 +169,19 @@ class FeatureIndex:
         strings; unknown ones are dropped."""
         if not self.frozen:
             raise ValueError("feature index must be frozen before lookups")
-        ranks = sorted(map(self._ranks.__getitem__, self._known & features.fired))
-        by_rank = self._ids_by_rank
-        return [by_rank[r] for r in ranks]
+        return sorted(map(self._ids.__getitem__, self._known & features.fired))
 
     def strings(self) -> list[str]:
         """Feature strings in id order."""
-        out = [""] * len(self._ids)
-        for feature, idx in self._ids.items():
-            out[idx] = feature
-        return out
+        return list(self._ids)
 
     @classmethod
     def build(
         cls, feature_sets: Iterable[SparseFeatures], min_count: int = 2
     ) -> "FeatureIndex":
-        """Index features seen at least min_count times, in first-seen order."""
-        counts: dict[str, int] = {}
-        seen_order: list[str] = []
-        for features in feature_sets:
-            for feature in features.ordered():
-                if feature not in counts:
-                    seen_order.append(feature)
-                    counts[feature] = 0
-                counts[feature] += 1
-        index = cls()
-        for feature in seen_order:
-            if counts[feature] >= min_count:
-                index.add(feature)
-        return index.freeze()
+        """Index the features fired in at least min_count of the sets."""
+        counts = Counter(itertools.chain.from_iterable(f.fired for f in feature_sets))
+        return cls.from_strings([f for f, n in counts.items() if n >= min_count])
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "FeatureIndex":

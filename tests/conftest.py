@@ -4,7 +4,7 @@ import pytest
 from termex.classifier import ClassifierConfig
 from termex.config import RunConfig
 from termex.corpus import Gazetteer, load_gazetteer
-from termex.crf import CrfConfig
+from termex.crf import CrfConfig, regularized_log_likelihood_and_gradient
 from termex.embeddings import (
     EmbeddingModel,
     SkipgramConfig,
@@ -60,7 +60,7 @@ def fast_config(gazetteer_path: str, n_sentences: int = 400, seed: int = 0) -> R
         dim=32, window=5, negatives=5, epochs=3, learning_rate=0.05, seed=seed
     )
     cfg.classifier = ClassifierConfig(epochs=30, learning_rate=1.0, seed=seed)
-    cfg.crf = CrfConfig(epochs=40, learning_rate=0.05)
+    cfg.crf = CrfConfig(epochs=40)
     return cfg
 
 
@@ -69,6 +69,19 @@ def small_run(gazetteer_file, tmp_path_factory) -> PipelineResult:
     workdir = tmp_path_factory.mktemp("small-run")
     cfg = fast_config(gazetteer_file)
     return run_pipeline(cfg, workdir=workdir)
+
+
+def gradient_ascent_reference(prepared, n_features, l2, epochs=100, learning_rate=0.05):
+    """The CRF trainer that L-BFGS replaced: full-batch gradient ascent at a
+    fixed rate from zero weights. Returns the emission and transition weights."""
+    emission, transition = np.zeros((n_features, 2)), np.zeros((3, 2))
+    for _ in range(epochs):
+        _, grad_emission, grad_transition = regularized_log_likelihood_and_gradient(
+            prepared, emission, transition, l2
+        )
+        emission += learning_rate * grad_emission
+        transition += learning_rate * grad_transition
+    return emission, transition
 
 
 def negative_sampling_loss(scores):

@@ -444,7 +444,7 @@ def test_criterion_8_determinism(gazetteer, gazetteer_file, tmp_path):
         assert np.array_equal(c1.bias, c2.bias)
 
         # CRF: bit-identical weights
-        crf_cfg = CrfConfig(epochs=5, learning_rate=0.02)
+        crf_cfg = CrfConfig(epochs=5)
         dataset = [
             (sentence_features(s.sentence), list(s.token_labels))
             for s in gold

@@ -34,6 +34,12 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match=r"'feature_min_count'.*\[classifier\]"):
             load_run_config(path)
 
+    def test_crf_learning_rate_rejected(self, tmp_path):
+        # The CRF trains by L-BFGS, which has no learning rate.
+        path = write(tmp_path, "[crf]\nlearning_rate = 0.05\n")
+        with pytest.raises(ConfigError, match=r"'learning_rate'.*\[crf\]"):
+            load_run_config(path)
+
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[crff\]"):
             load_run_config(write(tmp_path, "[crff]\nepochs = 3\n"))

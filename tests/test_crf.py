@@ -9,6 +9,7 @@ from termex.crf import (
     CrfConfig,
     CrfModel,
     PotentialTable,
+    lbfgs_maximize,
     load_crf,
     log_partition,
     marginals,
@@ -23,6 +24,7 @@ from termex.crf import (
 )
 from termex.errors import ConfigError, LengthMismatchError
 from termex.features import FeatureIndex, SparseFeatures
+from tests.conftest import gradient_ascent_reference
 
 T, O = TokenLabel.T, TokenLabel.O
 
@@ -435,58 +437,193 @@ class TestObjective:
             assert np.allclose(grad_t, ref_t, rtol=1e-9, atol=1e-9)
 
 
-class TestTraining:
-    def co_occurrence_dataset(self, n=50):
-        dataset = []
-        for i in range(n):
-            features = [feats("W0=uses"), feats("W0=hive"), feats(f"W0=x{i % 7}")]
-            labels = [O, T, O]
-            dataset.append((features, labels))
-        return dataset
+def objective_at(model, dataset):
+    return regularized_log_likelihood_and_gradient(
+        prepare_dataset(dataset, model.feature_index),
+        model.emission_weights,
+        model.transition_weights,
+        model.l2,
+    )
 
-    def test_learns_co_occurring_feature(self):
-        model = train_crf(
-            self.co_occurrence_dataset(),
-            CrfConfig(epochs=30, learning_rate=0.01, l2=1.0),
+
+def decodes(model, dataset):
+    return [viterbi(model, features) for features, _ in dataset]
+
+
+def co_occurrence_dataset(n=50):
+    dataset = []
+    for i in range(n):
+        features = [feats("W0=uses"), feats("W0=hive"), feats(f"W0=x{i % 7}")]
+        labels = [O, T, O]
+        dataset.append((features, labels))
+    return dataset
+
+
+def concave_quadratic(rng, n=30):
+    """A random strictly concave quadratic with eigenvalues 1e3..1e6
+    (condition number 1e3), and its argmax. Its peak value is 0, so the stop
+    rules, a rise of at most 1e-11 or a gradient norm of at most 1e-5, leave
+    an iterate within about 1e-7 of the argmax."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.logspace(3, 6, n)) @ q.T
+    peak = rng.uniform(-1.0, 1.0, size=n) / np.sqrt(n)
+
+    def fun(x):
+        gap = x - peak
+        return -0.5 * float(gap @ a @ gap), -(a @ gap)
+
+    return fun, peak
+
+
+def crf_objective(prepared, n_features, l2):
+    """The training objective over one flat weight vector."""
+
+    def fun(x):
+        emission, transition = x[: 2 * n_features].reshape(-1, 2), x[2 * n_features :]
+        value, grad_e, grad_t = regularized_log_likelihood_and_gradient(
+            prepared, emission, transition.reshape(3, 2), l2
         )
+        return value, np.concatenate([grad_e.ravel(), grad_t.ravel()])
+
+    return fun
+
+
+class TestLbfgs:
+    def test_finds_argmax_of_ill_conditioned_quadratic(self):
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            fun, peak = concave_quadratic(rng)
+            x = lbfgs_maximize(fun, np.zeros(len(peak)), 1000)
+            assert np.max(np.abs(x - peak)) <= 1e-6
+
+    def test_every_step_meets_the_armijo_condition(self):
+        """Each accepted step rises by at least 1e-4 times the rise its
+        gradient predicts, so the reported objective never falls."""
+        rng = np.random.default_rng(21)
+        problems = [(concave_quadratic(rng)[0], 30) for _ in range(3)]
+        for _ in range(5):
+            index, dataset = random_training_setup(
+                rng, n_features=8, n_sequences=12, max_len=8
+            )
+            fun = crf_objective(prepare_dataset(dataset, index), len(index), 0.1)
+            problems.append((fun, 2 * len(index) + 6))
+        for fun, size in problems:
+            points = [(np.zeros(size), *fun(np.zeros(size)))]
+            lbfgs_maximize(
+                fun, np.zeros(size), 100,
+                lambda step, x, value, grad, evaluations: points.append(
+                    (x.copy(), value, grad.copy())
+                ),
+            )
+            assert len(points) > 2
+            for (x, value, grad), (x_new, value_new, _) in zip(points, points[1:]):
+                assert value_new >= value + 1e-4 * float(grad @ (x_new - x))
+                assert value_new >= value
+
+    def test_zero_curvature_pairs_are_skipped(self):
+        # Minus the Huber loss is linear more than 1 from its peak: there a
+        # step leaves the gradient unchanged, so its pair has y = 0.
+        peak = np.array([0.5, -1.0, 2.0])
+
+        def fun(x):
+            gap = np.abs(x - peak)
+            loss = np.where(gap <= 1.0, 0.5 * gap**2, gap - 0.5)
+            return -float(loss.sum()), -np.clip(x - peak, -1.0, 1.0)
+
+        x = lbfgs_maximize(fun, peak + 10.0, 1000)
+        assert np.max(np.abs(x - peak)) <= 1e-6
+
+    def test_matches_or_beats_gradient_ascent(self):
+        rng = np.random.default_rng(22)
+        data = co_occurrence_dataset()
+        cases = [(FeatureIndex.build((f for fs, _ in data for f in fs), min_count=1), data)]
+        for _ in range(20):
+            cases.append(random_training_setup(rng, n_features=8, n_sequences=10, max_len=8))
+        for index, dataset in cases:
+            model = train_crf(dataset, CrfConfig(), index=index)
+            emission, transition = gradient_ascent_reference(
+                prepare_dataset(dataset, index), len(index), model.l2
+            )
+            reference = build_model(index.strings(), emission, transition)
+            # L-BFGS stops once a step rises by at most 1e-11 of the
+            # objective; 100 fixed-rate steps can converge further on these
+            # small problems, so the bound allows 1e-10 of it.
+            reached = objective_at(reference, dataset)[0]
+            assert objective_at(model, dataset)[0] >= reached - 1e-10 * abs(reached)
+            assert decodes(model, dataset) == decodes(reference, dataset)
+
+
+class TestTraining:
+    def test_learns_co_occurring_feature(self):
+        model = train_crf(co_occurrence_dataset(), CrfConfig(epochs=30, l2=1.0))
         idx = model.feature_index.lookup("W0=hive")
         assert idx is not None
         assert model.emission_weights[idx, 0] > model.emission_weights[idx, 1]
 
     def test_epochs_zero_gives_zero_model(self):
-        model = train_crf(self.co_occurrence_dataset(), CrfConfig(epochs=0))
+        model = train_crf(co_occurrence_dataset(), CrfConfig(epochs=0))
         assert np.all(model.emission_weights == 0.0)
         assert np.all(model.transition_weights == 0.0)
 
     def test_gradient_linearity_in_data(self):
-        data = self.co_occurrence_dataset(10)
+        """Doubling the data and l2 doubles the objective and keeps its argmax.
+        L-BFGS steps do not change when the objective is scaled, as the first
+        is normalized by ||g|| and later ones by s.y / y.y, so both runs take
+        the same steps and agree to 1e-9."""
+        data = co_occurrence_dataset(10)
         index = FeatureIndex.build((f for fs, _ in data for f in fs), min_count=1)
-        a = train_crf(
-            data, CrfConfig(epochs=1, learning_rate=0.04, l2=0.5), index=index
-        )
-        b = train_crf(
-            data * 2, CrfConfig(epochs=1, learning_rate=0.02, l2=0.5), index=index
-        )
-        assert np.allclose(a.emission_weights, b.emission_weights)
-        assert np.allclose(a.transition_weights, b.transition_weights)
+        a = train_crf(data, CrfConfig(l2=0.5), index=index)
+        b = train_crf(data * 2, CrfConfig(l2=1.0), index=index)
+        assert np.allclose(a.emission_weights, b.emission_weights, rtol=0, atol=1e-9)
+        assert np.allclose(a.transition_weights, b.transition_weights, rtol=0, atol=1e-9)
 
     def test_deterministic(self):
-        data = self.co_occurrence_dataset(20)
-        cfg = CrfConfig(epochs=5, learning_rate=0.02)
+        data = co_occurrence_dataset(20)
+        cfg = CrfConfig(epochs=5)
         a = train_crf(data, cfg)
         b = train_crf(data, cfg)
         assert np.array_equal(a.emission_weights, b.emission_weights)
         assert np.array_equal(a.transition_weights, b.transition_weights)
 
     def test_nll_decreases(self):
+        """The objective never falls from one step to the next, so every
+        step's nll, which is at most minus its objective, stays below the nll
+        at the zero initialization."""
+        data = co_occurrence_dataset(30)
         history = []
-        train_crf(
-            self.co_occurrence_dataset(30),
-            CrfConfig(epochs=15, learning_rate=0.005, l2=0.1),
-            callback=lambda e, m: history.append(m["nll"]),
+        model = train_crf(
+            data, CrfConfig(epochs=15, l2=0.1),
+            callback=lambda e, m: history.append(m),
         )
-        for before, after in zip(history, history[1:]):
-            assert after <= before + 1e-9
+        start = objective_at(build_model(model.feature_index.strings()), data)[0]
+        objectives = [start] + [m["objective"] for m in history]
+        assert len(history) >= 2
+        assert all(after >= before for before, after in zip(objectives, objectives[1:]))
+        assert all(m["nll"] < -start for m in history)
+
+    def test_callback_reports_gradient_norm_at_the_weights(self):
+        data = co_occurrence_dataset(30)
+        for epochs in (1, 2, 3, 100):
+            history = []
+            model = train_crf(
+                data, CrfConfig(epochs=epochs, l2=0.1),
+                callback=lambda e, m: history.append((e, m)),
+            )
+            assert [e for e, _ in history] == list(range(len(history)))
+            assert 1 <= len(history) <= epochs
+            value, grad_e, grad_t = objective_at(model, data)
+            last = history[-1][1]
+            assert last["objective"] == value
+            assert last["grad_norm"] == pytest.approx(
+                math.hypot(np.linalg.norm(grad_e), np.linalg.norm(grad_t)), rel=1e-12
+            )
+            penalty = 0.05 * (
+                (model.emission_weights**2).sum() + (model.transition_weights**2).sum()
+            )
+            assert last["nll"] == pytest.approx(-(value + penalty), rel=1e-12)
+            evaluations = [m["evaluations"] for _, m in history]
+            assert evaluations[0] >= 2
+            assert all(b > a for a, b in zip(evaluations, evaluations[1:]))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
@@ -502,7 +639,7 @@ class TestSerialization:
         rng = np.random.default_rng(11)
         index, dataset = random_training_setup(rng, n_features=8, n_sequences=10)
         model = train_crf(
-            dataset, CrfConfig(epochs=5, learning_rate=0.05), index=index
+            dataset, CrfConfig(epochs=5), index=index
         )
         path = tmp_path / "crf.bin"
         save_crf(model, path)
@@ -513,3 +650,36 @@ class TestSerialization:
         assert loaded.feature_config == model.feature_config
         for features, _ in dataset:
             assert viterbi(loaded, features) == viterbi(model, features)
+
+    def test_first_seen_order_loads_to_the_same_potentials(self, tmp_path):
+        """Older files hold their strings in first-seen order. Loading numbers
+        them in sorted order and moves the emission rows with them, so one
+        set of weights gives byte-equal potentials from either file, equal to
+        summing its rows in sorted-string order."""
+        rng = np.random.default_rng(13)
+        names = [f"f={k}" for k in rng.permutation(40)]
+        emission = rng.normal(size=(40, 2))
+        transition = rng.normal(size=(3, 2))
+        first_seen = FeatureIndex()  # unfrozen, so it keeps insertion order
+        for name in names:
+            first_seen.add(name)
+        old = CrfModel(first_seen, emission, transition)
+        order = sorted(range(40), key=names.__getitem__)
+        new = build_model(sorted(names), emission[order], transition)
+        save_crf(old, tmp_path / "old.bin")
+        save_crf(new, tmp_path / "new.bin")
+        assert (tmp_path / "old.bin").read_bytes() != (tmp_path / "new.bin").read_bytes()
+
+        from_old, from_new = load_crf(tmp_path / "old.bin"), load_crf(tmp_path / "new.bin")
+        assert from_old.feature_index.strings() == sorted(names)
+        assert from_old.emission_weights.tobytes() == from_new.emission_weights.tobytes()
+        for _ in range(30):
+            sentence = [
+                feats(*rng.choice(names, size=int(rng.integers(0, 12)), replace=False))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            start, steps = reference_potentials(old, sentence)
+            for model in (from_old, from_new):
+                table = potentials(model, sentence)
+                assert table.start.tobytes() == start.tobytes()
+                assert table.steps.tobytes() == steps.tobytes()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,11 +291,24 @@ class TestFeatureIndex:
         assert sorted(index.ids(SparseFeatures(frozenset({"a=1", "b=2", "c=3"})))) == [0, 1, 2]
 
     def test_ids_in_sorted_string_order(self):
-        # Ids are assigned in insertion order, which differs from string
-        # order, so the ids of a lookup must follow the strings, not the ids.
+        # Strings arrive out of order, and freezing numbers them in sorted
+        # order, so the ids of a lookup follow the strings.
         index = FeatureIndex.from_strings(["z=1", "a=2", "m=3", "b=4"])
+        assert [index.lookup(f) for f in ("a=2", "b=4", "m=3", "z=1")] == [0, 1, 2, 3]
         fired = SparseFeatures(frozenset({"m=3", "z=1", "b=4", "a=2", "unseen=0"}))
-        assert index.ids(fired) == [1, 3, 2, 0]
+        assert index.ids(fired) == [0, 1, 2, 3]
+
+    def test_build_numbers_kept_features_in_sorted_order(self):
+        rng = random.Random(0)
+        names = [f"{k}={v}" for k in ("W0", "NG", "P0") for v in range(12)]
+        data = [SparseFeatures(frozenset(rng.sample(names, 5))) for _ in range(40)]
+        counts = {}
+        for features in data:
+            for f in features.fired:
+                counts[f] = counts.get(f, 0) + 1
+        index = FeatureIndex.build(data, min_count=3)
+        assert index.strings() == sorted(f for f, n in counts.items() if n >= 3)
+        assert [index.lookup(f) for f in index.strings()] == list(range(len(index)))
 
     @given(
         st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=30, unique=True),
@@ -322,7 +337,8 @@ class TestFeatureIndex:
         index = FeatureIndex()
         for f in ("z=1", "a=2", "m=3"):
             index.add(f)
-        index.freeze()
         assert index.strings() == ["z=1", "a=2", "m=3"]
+        index.freeze()
+        assert index.strings() == ["a=2", "m=3", "z=1"]
         rebuilt = FeatureIndex.from_strings(index.strings())
         assert rebuilt.lookup("a=2") == index.lookup("a=2")
