@@ -319,9 +319,10 @@ def regularized_log_likelihood_and_gradient(
     return value, grad_emission, grad_transition
 
 
-# L-BFGS (Liu & Nocedal 1989): pairs kept, least y.s of a kept pair, Armijo
+# L-BFGS (Liu & Nocedal 1989): pairs kept, least y.s / s.s of a kept pair (it
+# keeps the step scale s.y / y.y under 1e6, which 20 halvings undo), Armijo
 # constant, halvings before the line search gives up, stopping tolerances.
-_HISTORY, _CURVATURE_MIN, _ARMIJO_C1, _MAX_HALVINGS = 10, 1e-10, 1e-4, 20
+_HISTORY, _CURVATURE_MIN, _ARMIJO_C1, _MAX_HALVINGS = 10, 1e-6, 1e-4, 20
 _RELATIVE_TOL, _GRADIENT_TOL = 1e-11, 1e-5
 
 
@@ -362,7 +363,7 @@ def lbfgs_maximize(
         else:
             break
         s, y = trial - x, grad - trial_grad
-        if y @ s > _CURVATURE_MIN:
+        if y @ s > _CURVATURE_MIN * (s @ s):
             pairs.append((s, y, 1.0 / (y @ s)))
             scale = (s @ y) / (y @ y)  # the newest pair's s.y / y.y
         if callback is not None:

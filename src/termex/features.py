@@ -3,6 +3,7 @@ context, character n-grams, coarse orthographic tags, and word shapes."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import unicodedata
 from collections import Counter
@@ -66,9 +67,7 @@ def _ngrams(text: str, n_min: int, n_max: int) -> list[str]:
 
 
 def _tag_token(text: str) -> CoarsePosTag:
-    if any(ch.isdigit() for ch in text) and all(
-        ch.isdigit() or ch in ",." for ch in text
-    ):
+    if text.replace(",", "").replace(".", "").isdigit():
         return CoarsePosTag.NUM
     if all(unicodedata.category(ch).startswith("P") for ch in text):
         return CoarsePosTag.PUNCT
@@ -87,6 +86,35 @@ def pos_tag(sentence: Sentence) -> list[CoarsePosTag]:
     return [_tag_token(t.text) for t in sentence.tokens]
 
 
+# A text enters the table on its second sighting, so one-off words never fill
+# it. The table and the set of texts seen are each emptied when full.
+TABLE_SIZE, SEEN_SIZE = 1024, 4096
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(ngram_min: int, ngram_max: int) -> tuple[dict[str, tuple], set[str]]:
+    """The table of token parts and the seen set for these n-gram bounds."""
+    return {}, set()
+
+
+def _token_parts(text: str, config: FeatureConfig, table: dict, seen: set) -> tuple:
+    """Everything sentence_features derives from a token's text alone: the
+    case-folded word, the coarse tag, the shape, the NG strings as a tuple,
+    and the LW= and RW= strings. Stored in table if text was seen before."""
+    word = text.casefold()
+    grams = tuple(_ngrams(text, config.ngram_min, config.ngram_max))
+    parts = (word, _tag_token(text).value, word_shape(text), grams, "LW=" + word, "RW=" + word)
+    if text in seen:
+        if len(table) >= TABLE_SIZE:
+            table.clear()
+        table[text] = parts
+    else:
+        if len(seen) >= SEEN_SIZE:
+            seen.clear()
+        seen.add(text)
+    return parts
+
+
 def sentence_features(
     sentence: Sentence, config: FeatureConfig = DEFAULT_FEATURES
 ) -> list[SparseFeatures]:
@@ -100,15 +128,16 @@ def sentence_features(
     - LW and RW: the case-folded words up to config.window positions left
       and right of i.
 
-    Each token is folded, tagged and shaped once, and its n-gram and
-    context-word strings are built once."""
+    A token's text-local parts are computed once per recurring text: per
+    pair of n-gram bounds, a table of at most 1,024 texts keeps them, and
+    admits a text on its second sighting among up to 4,096 texts seen."""
     texts = sentence.token_texts()
-    words = [text.casefold() for text in texts]
-    tags = [_tag_token(text).value for text in texts]
-    shapes = [word_shape(text) for text in texts]
-    grams = [_ngrams(text, config.ngram_min, config.ngram_max) for text in texts]
-    left = [f"LW={w}" for w in words]
-    right = [f"RW={w}" for w in words]
+    if not texts:
+        return []
+    table, seen = _tables(config.ngram_min, config.ngram_max)
+    words, tags, shapes, grams, left, right = zip(
+        *[table.get(text) or _token_parts(text, config, table, seen) for text in texts]
+    )
     # Padded by one on each side: entry i is the left neighbour of token i,
     # entry i + 2 its right neighbour.
     around_words = ["<BOS>", *words, "<EOS>"]

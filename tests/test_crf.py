@@ -533,6 +533,20 @@ class TestLbfgs:
         x = lbfgs_maximize(fun, peak + 10.0, 1000)
         assert np.max(np.abs(x - peak)) <= 1e-6
 
+    @pytest.mark.parametrize("offset", [40.0, -40.0, 100.0])
+    def test_nearly_linear_stretch_reaches_the_peak(self, offset):
+        # Far from its peak, minus log cosh has curvature ~4 exp(-2 |x|): a
+        # pair there has a tiny y.s for its s.s, and keeping it would set a
+        # step scale s.y / y.y that the halvings cannot undo.
+        peak = np.array([0.5, -1.0, 2.0])
+
+        def fun(x):
+            gap = x - peak
+            return -float((np.logaddexp(gap, -gap) - math.log(2)).sum()), -np.tanh(gap)
+
+        x = lbfgs_maximize(fun, peak + offset, 1000)
+        assert np.max(np.abs(x - peak)) <= 1e-6
+
     def test_matches_or_beats_gradient_ascent(self):
         rng = np.random.default_rng(22)
         data = co_occurrence_dataset()

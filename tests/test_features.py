@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termex import features
 from termex.corpus import Sentence, Token
 from termex.features import (
     DEFAULT_FEATURES,
+    SEEN_SIZE,
+    TABLE_SIZE,
     CoarsePosTag,
     FeatureConfig,
     FeatureIndex,
     SparseFeatures,
+    _tag_token,
     pos_tag,
     sentence_features,
     word_shape,
@@ -61,6 +65,14 @@ def extract_features(sentence, pos_tags, i, config=DEFAULT_FEATURES):
     fired.update(f"LW={w}" for w in words[max(0, i - config.window) : i])
     fired.update(f"RW={w}" for w in words[i + 1 : i + 1 + config.window])
     return SparseFeatures(frozenset(fired))
+
+
+def is_num_reference(text):
+    """The NUM rule written plainly: some digit, and nothing but digits,
+    commas and full stops."""
+    return any(ch.isdigit() for ch in text) and all(
+        ch.isdigit() or ch in ",." for ch in text
+    )
 
 
 def make_sentence(words):
@@ -140,6 +152,21 @@ class TestPosTag:
     )
     def test_single_tokens(self, text, tag):
         assert pos_tag(make_sentence([text])) == [tag]
+
+    def test_num_rule_matches_reference_on_every_code_point(self):
+        # Every other rule applies only when NUM does not, so the same NUM
+        # decision means the same tag.
+        texts = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+        assert len(texts) == 1_112_064
+        mismatches = [
+            t for t in texts if (_tag_token(t) is CoarsePosTag.NUM) != is_num_reference(t)
+        ]
+        assert mismatches == []
+
+    @given(st.text(alphabet=st.sampled_from("0189,.²٣߀੧۵¹aZ-"), min_size=1, max_size=10))
+    @settings(max_examples=500)
+    def test_num_rule_matches_reference_on_digit_strings(self, text):
+        assert (_tag_token(text) is CoarsePosTag.NUM) == is_num_reference(text)
 
     @given(st.text(min_size=1, max_size=12))
     @settings(max_examples=150)
@@ -272,6 +299,73 @@ class TestSentenceFeatures:
         fired = sentence_features(s)[1].fired
         assert "LW=strasse" in fired and "W-1=strasse" in fired
         assert "NG=aße" in sentence_features(s)[0].fired  # n-grams use lower()
+
+
+@pytest.fixture
+def fresh_tables():
+    features._tables.cache_clear()
+    yield
+    features._tables.cache_clear()
+
+
+def default_tables():
+    return features._tables(DEFAULT_FEATURES.ngram_min, DEFAULT_FEATURES.ngram_max)
+
+
+@pytest.mark.usefixtures("fresh_tables")
+class TestTokenTable:
+    def test_every_sighting_matches_the_reference(self):
+        # Case variants share a fold but not a tag or a shape, so a table
+        # keyed by anything but the exact text serves them wrong parts.
+        s = make_sentence(["Hive", "HIVE", "hive", "uses", "2,019", "Hive"])
+        expected = [extract_features(s, pos_tag(s), i) for i in range(6)]
+        table, seen = default_tables()
+        assert sentence_features(s) == expected  # every text first seen...
+        assert set(table) == {"Hive"}  # ...but one that recurs in the sentence
+        assert {"HIVE", "hive", "uses", "2,019"} <= seen
+        assert sentence_features(s) == expected  # second sighting: admitted
+        assert set(table) == {"Hive", "HIVE", "hive", "uses", "2,019"}
+        for _ in range(2):
+            assert sentence_features(s) == expected  # table hits
+
+    def test_tables_stay_bounded(self):
+        texts = [f"tok{n}" for n in range(10_000)]
+        for text in texts:
+            sentence_features(make_sentence([text]))
+            sentence_features(make_sentence([text]))
+        table, seen = default_tables()
+        assert 0 < len(table) <= TABLE_SIZE
+        assert 0 < len(seen) <= SEEN_SIZE
+        s = make_sentence(texts[-3:])
+        assert sentence_features(s) == [
+            extract_features(s, pos_tag(s), i) for i in range(3)
+        ]
+
+    def test_empty_sentence(self):
+        assert sentence_features(Sentence(doc_id="d", index=0, tokens=())) == []
+
+    def test_configs_with_other_ngram_bounds_share_nothing(self):
+        s = make_sentence(["Apache", "Hive"])
+        configs = [FeatureConfig(2, 4, 4), FeatureConfig(3, 3, 4), FeatureConfig(1, 5, 2)]
+        for _ in range(3):
+            for config in configs:
+                assert sentence_features(s, config) == [
+                    extract_features(s, pos_tag(s), i, config) for i in range(2)
+                ]
+        tables = [features._tables(c.ngram_min, c.ngram_max)[0] for c in configs]
+        assert all(set(table) == {"Apache", "Hive"} for table in tables)
+        assert len({id(table) for table in tables}) == len(configs)
+
+    def test_cached_parts_are_immutable(self):
+        s = make_sentence(["Apache", "Hive"])
+        sentence_features(s)
+        sentence_features(s)
+        table, _ = default_tables()
+        assert set(table) == {"Apache", "Hive"}
+        for parts in table.values():
+            assert isinstance(parts, tuple)
+            assert all(isinstance(part, (str, tuple)) for part in parts)
+            hash(parts)  # raises if any part, the n-grams among them, is mutable
 
 
 class TestFeatureIndex:
