@@ -10,10 +10,9 @@ from typing import Iterable, Sequence
 
 from .classifier import ClassifierModel, predict
 from .corpus import Document, Sentence, SentenceLabel, Token, TokenLabel, split_document
-from .crf import CrfModel, viterbi
+from .crf import CrfModel, sentence_potentials, viterbi_from_table
 from .embeddings import EmbeddingModel, embed_sentence
 from .errors import LengthMismatchError, ModelMismatchError
-from .features import sentence_features
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def extract_sentence(
         return Extraction(sentence.doc_id, sentence.index, False, ())
     if stats is not None:
         stats.stage2_invocations += 1
-    labels = viterbi(models.crf, sentence_features(sentence, models.crf.feature_config))
+    labels = viterbi_from_table(sentence_potentials(models.crf, sentence))
     spans = spans_from_labels(sentence.tokens, labels)
     return Extraction(sentence.doc_id, sentence.index, True, tuple(spans))
 

@@ -12,9 +12,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import modelio
-from .corpus import TokenLabel
+from .corpus import Sentence, TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
-from .features import FeatureConfig, FeatureIndex, SparseFeatures
+from .features import FeatureConfig, FeatureIndex, SparseFeatures, admit, token_parts
 
 MAGIC = b"TXCRF"
 VERSION = 1
@@ -29,11 +29,15 @@ TrainingSequence = tuple[Sequence[SparseFeatures], Sequence[TokenLabel]]
 
 @dataclass
 class CrfModel:
+    """A trained tagger. Its weights and feature config are read-only once it
+    has decoded: sentence_potentials keeps per-text weight sums on the model."""
+
     feature_index: FeatureIndex
     emission_weights: np.ndarray  # (F, 2): feature id x current label
     transition_weights: np.ndarray  # (3, 2): previous state x current label
     l2: float = 1.0
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
+    _sums: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -92,7 +96,8 @@ def potentials(
     model: CrfModel, features_per_position: Sequence[SparseFeatures]
 ) -> PotentialTable:
     """log phi_i(prev, cur) = transition[prev, cur] + sum of emission weights
-    of the features fired at i (unknown features are ignored)."""
+    of the features fired at i (unknown features are ignored). It adds them
+    as training does, and is the reference for sentence_potentials."""
     if not features_per_position:
         raise ValueError("cannot build potentials for an empty sentence")
     ids, tokens = _flat_ids(model.feature_index, features_per_position)
@@ -103,6 +108,61 @@ def potentials(
         len(features_per_position),
     )
     start, steps = _clique_scores(model.transition_weights, node)
+    return PotentialTable(start=start, steps=steps)
+
+
+_ZERO = (0.0, 0.0)  # the weight pair of a feature the model does not know
+
+
+def _text_sums(model: CrfModel, text: str) -> tuple:
+    """A token text's share of node scores: its fold, tag and shape; the
+    summed weights of its W0, P0, SH0 and distinct NG features; and the weight
+    pairs it lends its neighbours' W-1, W+1, LW and RW features."""
+    weights = model._sums[0]
+    word, tag, shape, grams, lw, rw = token_parts(text, model.feature_config)
+    local_t = local_o = 0.0
+    local = (f"W0={word}", f"P0={tag}", f"SH0={shape}", *dict.fromkeys(grams))
+    for t, o in filter(None, map(weights.get, local)):
+        local_t, local_o = local_t + t, local_o + o
+    lent = [weights.get(f, _ZERO) for f in ("W-1=" + word, "W+1=" + word, lw, rw)]
+    return word, tag, shape, local_t, local_o, *lent
+
+
+def sentence_potentials(model: CrfModel, sentence: Sentence) -> PotentialTable:
+    """The inference path to potentials(model, sentence_features(sentence)),
+    equal within rounding: node scores add per-text weight sums (_text_sums)
+    kept on the model under the second-sighting rule of features.admit."""
+    texts = sentence.token_texts()
+    if not texts:
+        raise ValueError("cannot build potentials for an empty sentence")
+    if model._sums is None:
+        rows = map(tuple, model.emission_weights.tolist())
+        model._sums = dict(zip(model.feature_index.strings(), rows)), {}, set()
+    weights, table, seen = model._sums
+    words, tags, shapes, local_t, local_o, before, after, left, right = zip(
+        *[table.get(text) or admit(table, seen, text, _text_sums(model, text)) for text in texts]
+    )
+    tags3, shapes3 = ("BOS", *tags, "EOS"), ("BOS", *shapes, "EOS")
+    # Entry i: the W-1, W+1, PSEQ and SHSEQ weight pairs of position i.
+    neighbours = zip(
+        (weights.get("W-1=<BOS>", _ZERO), *before),
+        (*after[1:], weights.get("W+1=<EOS>", _ZERO)),
+        [weights.get(f"PSEQ={a}_{b}_{c}", _ZERO) for a, b, c in zip(tags3, tags, tags3[2:])],
+        [weights.get(f"SHSEQ={a}_{b}_{c}", _ZERO) for a, b, c in zip(shapes3, shapes, shapes3[2:])],
+    )
+    window, unique = model.feature_config.window, len(set(words)) == len(words)
+    node = []
+    for i, (t, o, pairs) in enumerate(zip(local_t, local_o, neighbours)):
+        lo, hi = max(0, i - window), i + 1 + window
+        if unique:
+            context = (*left[lo:i], *right[i + 1 : hi])
+        else:  # a fold repeated inside a window fires its LW or RW feature once
+            context = (*dict(zip(words[lo:i], left[lo:i])).values(),
+                       *dict(zip(words[i + 1 : hi], right[i + 1 : hi])).values())
+        for a, b in (*pairs, *context):
+            t, o = t + a, o + b
+        node.append((t, o))
+    start, steps = _clique_scores(model.transition_weights, np.array(node))
     return PotentialTable(start=start, steps=steps)
 
 

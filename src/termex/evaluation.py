@@ -6,12 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cascade import PipelineModels, spans_from_labels
+from .cascade import PipelineModels, extract_sentence, spans_from_labels
 from .classifier import predict
 from .corpus import LabeledSentence, SentenceLabel, TokenLabel
-from .crf import viterbi
+from .crf import sentence_potentials, viterbi_from_table
 from .embeddings import embed_sentence
-from .features import sentence_features
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,6 @@ def _tally(outcomes: Sequence[str]) -> ConfusionCounts:
     )
 
 
-def _predict_sentence_label(models: PipelineModels, labeled: LabeledSentence) -> SentenceLabel:
-    vector = embed_sentence(models.embedding, labeled.sentence)
-    return predict(models.classifier, vector).label
-
-
 def evaluate_stage1(
     models: PipelineModels, test: Sequence[LabeledSentence]
 ) -> EvalReport:
@@ -75,7 +69,8 @@ def evaluate_stage1(
     outcomes = [
         _count(
             labeled.sentence_label is SentenceLabel.CONTAINS_TECH,
-            _predict_sentence_label(models, labeled) is SentenceLabel.CONTAINS_TECH,
+            predict(models.classifier, embed_sentence(models.embedding, labeled.sentence)).label
+            is SentenceLabel.CONTAINS_TECH,
         )
         for labeled in test
     ]
@@ -83,8 +78,8 @@ def evaluate_stage1(
 
 
 def _decode(models: PipelineModels, labeled: LabeledSentence) -> list[TokenLabel]:
-    features = sentence_features(labeled.sentence, models.crf.feature_config)
-    return viterbi(models.crf, features)
+    """Stage II alone, as the cascade decodes a sentence that passes the gate."""
+    return viterbi_from_table(sentence_potentials(models.crf, labeled.sentence))
 
 
 def evaluate_stage2(
@@ -106,14 +101,13 @@ def evaluate_stage2(
 def evaluate_end_to_end(
     models: PipelineModels, test: Sequence[LabeledSentence]
 ) -> EvalReport:
-    """Token-level report over all sentences with the cascade's gating: a
-    stage-I negative pushes every one of its tokens to predicted O."""
+    """Token-level report over all sentences run through the cascade: tokens
+    outside its spans, so all of a stage-I negative's, are predicted O."""
     outcomes = []
     for labeled in test:
-        if _predict_sentence_label(models, labeled) is SentenceLabel.CONTAINS_TECH:
-            predicted = _decode(models, labeled)
-        else:
-            predicted = [TokenLabel.O] * len(labeled.token_labels)
+        predicted = [TokenLabel.O] * len(labeled.token_labels)
+        for span in extract_sentence(models, labeled.sentence).term_spans:
+            predicted[span.start : span.end + 1] = [TokenLabel.T] * (span.end + 1 - span.start)
         for gold, pred in zip(labeled.token_labels, predicted):
             outcomes.append(_count(gold is TokenLabel.T, pred is TokenLabel.T))
     return f_score(_tally(outcomes), mode="end_to_end")

@@ -86,9 +86,23 @@ def pos_tag(sentence: Sentence) -> list[CoarsePosTag]:
     return [_tag_token(t.text) for t in sentence.tokens]
 
 
-# A text enters the table on its second sighting, so one-off words never fill
+# A text enters a table on its second sighting, so one-off words never fill
 # it. The table and the set of texts seen are each emptied when full.
 TABLE_SIZE, SEEN_SIZE = 1024, 4096
+
+
+def admit(table: dict, seen: set, key, value):
+    """Store value under key in table if key was seen before, else mark key
+    seen (the second-sighting rule above); returns value."""
+    if key in seen:
+        if len(table) >= TABLE_SIZE:
+            table.clear()
+        table[key] = value
+    else:
+        if len(seen) >= SEEN_SIZE:
+            seen.clear()
+        seen.add(key)
+    return value
 
 
 @functools.lru_cache(maxsize=8)
@@ -97,22 +111,13 @@ def _tables(ngram_min: int, ngram_max: int) -> tuple[dict[str, tuple], set[str]]
     return {}, set()
 
 
-def _token_parts(text: str, config: FeatureConfig, table: dict, seen: set) -> tuple:
+def token_parts(text: str, config: FeatureConfig) -> tuple:
     """Everything sentence_features derives from a token's text alone: the
     case-folded word, the coarse tag, the shape, the NG strings as a tuple,
-    and the LW= and RW= strings. Stored in table if text was seen before."""
+    and the LW= and RW= strings."""
     word = text.casefold()
     grams = tuple(_ngrams(text, config.ngram_min, config.ngram_max))
-    parts = (word, _tag_token(text).value, word_shape(text), grams, "LW=" + word, "RW=" + word)
-    if text in seen:
-        if len(table) >= TABLE_SIZE:
-            table.clear()
-        table[text] = parts
-    else:
-        if len(seen) >= SEEN_SIZE:
-            seen.clear()
-        seen.add(text)
-    return parts
+    return (word, _tag_token(text).value, word_shape(text), grams, "LW=" + word, "RW=" + word)
 
 
 def sentence_features(
@@ -130,13 +135,15 @@ def sentence_features(
 
     A token's text-local parts are computed once per recurring text: per
     pair of n-gram bounds, a table of at most 1,024 texts keeps them, and
-    admits a text on its second sighting among up to 4,096 texts seen."""
+    admits a text on its second sighting among up to 4,096 texts seen.
+
+    The training path, and the reference for crf.sentence_potentials."""
     texts = sentence.token_texts()
     if not texts:
         return []
     table, seen = _tables(config.ngram_min, config.ngram_max)
     words, tags, shapes, grams, left, right = zip(
-        *[table.get(text) or _token_parts(text, config, table, seen) for text in texts]
+        *[table.get(text) or admit(table, seen, text, token_parts(text, config)) for text in texts]
     )
     # Padded by one on each side: entry i is the left neighbour of token i,
     # entry i + 2 its right neighbour.

@@ -147,7 +147,7 @@ class TestZeroEvidence:
         def no_crf(*args):
             raise AssertionError("stage II ran on a zero-evidence sentence")
 
-        monkeypatch.setattr("termex.cascade.viterbi", no_crf)
+        monkeypatch.setattr("termex.cascade.sentence_potentials", no_crf)
         stats = PipelineStats()
         extraction = extract_sentence(eager_models, sentence, stats)
         assert not extraction.sentence_positive

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from termex.corpus import TokenLabel
+from termex.corpus import Sentence, Token, TokenLabel
 from termex.crf import (
     CrfConfig,
     CrfModel,
@@ -17,13 +19,21 @@ from termex.crf import (
     prepare_dataset,
     regularized_log_likelihood_and_gradient,
     save_crf,
+    sentence_potentials,
     sequence_log_prob,
     train_crf,
     viterbi,
     viterbi_from_table,
 )
 from termex.errors import ConfigError, LengthMismatchError
-from termex.features import FeatureIndex, SparseFeatures
+from termex.features import (
+    SEEN_SIZE,
+    TABLE_SIZE,
+    FeatureConfig,
+    FeatureIndex,
+    SparseFeatures,
+    sentence_features,
+)
 from tests.conftest import gradient_ascent_reference
 
 T, O = TokenLabel.T, TokenLabel.O
@@ -151,6 +161,134 @@ class TestPotentials:
         model = build_model(["f=1"], emission=[[5.0, -5.0]])
         table = potentials(model, [feats("unseen=1")])
         assert np.all(table.start == 0.0)
+
+
+def make_sentence(words):
+    tokens, at = [], 0
+    for word in words:
+        tokens.append(Token(word, at, at + len(word)))
+        at += len(word) + 1
+    return Sentence(doc_id="d", index=0, tokens=tuple(tokens))
+
+
+# Default bounds, no context window, unigrams only, and wider n-gram spans.
+ORACLE_CONFIGS = [
+    FeatureConfig(2, 4, 4),
+    FeatureConfig(2, 4, 0),
+    FeatureConfig(1, 1, 1),
+    FeatureConfig(3, 5, 2),
+    FeatureConfig(1, 6, 6),
+]
+ORACLE_SENTENCES = {
+    "window_repeats": ["Apache", "Hive", "uses", "Hive", "and", "Hive", "too"],
+    "folds_to_one_word": ["The", "cat", "saw", "the", "dog", "THE", "end"],
+    "repeated_ngrams": ["aaaa", "aaaa", "aaa", "Aaaa"],
+    "single_token": ["Kafka"],
+    "longer_than_two_windows": [f"w{k % 5}" for k in range(15)] + ["Spark"],
+    "punctuation_and_numbers": ["In", "2,019", ",", "v3.14", "rose", "12", "%", "!", "C++"],
+}
+
+
+def text_model(sentences, config, rng, keep=0.8):
+    """A model over real sentence_features strings of the sentences, a random
+    share keep of them known, with random weights of mixed scales."""
+    strings = sorted(
+        {f for words in sentences
+         for features in sentence_features(make_sentence(words), config)
+         for f in features.fired}
+    )
+    known = [f for f in strings if rng.random() < keep]
+    scale = rng.choice([0.01, 1.0, 100.0], size=(len(known), 1))
+    emission = rng.normal(size=(len(known), 2)) * scale
+    return CrfModel(FeatureIndex.from_strings(known), emission, rng.normal(size=(3, 2)),
+                    feature_config=config)
+
+
+def assert_matches_reference(model, sentence):
+    """sentence_potentials within 1e-12 * (1 + sum of |w| fired) of potentials
+    over sentence_features, entry by entry, with the same decode."""
+    fired = sentence_features(sentence, model.feature_config)
+    reference = potentials(model, fired)
+    table = sentence_potentials(model, sentence)
+    weight = np.array(
+        [np.abs(model.emission_weights[model.feature_index.ids(f)]).sum(axis=0) for f in fired]
+    ).reshape(-1, 2)
+    tolerance = 1e-12 * (1.0 + weight)
+    assert np.all(np.abs(table.start - reference.start) <= tolerance[0])
+    assert np.all(np.abs(table.steps - reference.steps) <= tolerance[1:, None, :])
+    assert viterbi_from_table(table) == viterbi_from_table(reference)
+    return table
+
+
+def assert_same_table(a, b):
+    assert a.start.tobytes() == b.start.tobytes()
+    assert a.steps.tobytes() == b.steps.tobytes()
+
+
+words_strategy = st.lists(
+    st.sampled_from(["The", "the", "THE", "aaaa", "Hive", "2,019", "3.14", ",", "!", "C++"])
+    | st.text(alphabet="aAbB1.,-", min_size=1, max_size=6),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestSentencePotentials:
+    @given(words=words_strategy, config=st.sampled_from(ORACLE_CONFIGS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_on_every_sighting(self, words, config, seed):
+        model = text_model([words], config, np.random.default_rng(seed))
+        sentence = make_sentence(words)
+        first = assert_matches_reference(model, sentence)
+        for _ in range(3):  # second sighting admits the texts, later ones hit
+            assert_same_table(sentence_potentials(model, sentence), first)
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=str)
+    @pytest.mark.parametrize("case", sorted(ORACLE_SENTENCES))
+    def test_named_cases(self, case, config):
+        words = ORACLE_SENTENCES[case]
+        model = text_model(ORACLE_SENTENCES.values(), config, np.random.default_rng(5))
+        first = assert_matches_reference(model, make_sentence(words))
+        for _ in range(3):
+            assert_same_table(assert_matches_reference(model, make_sentence(words)), first)
+
+    def test_all_unknown_tokens_give_the_transitions_alone(self):
+        model = build_model(["f=1"], [[3.0, -1.0]], np.random.default_rng(2).normal(size=(3, 2)))
+        sentence = make_sentence(["Zqxv", "wqpz", "12", "!"])
+        reference = potentials(model, sentence_features(sentence, model.feature_config))
+        for _ in range(3):
+            assert_same_table(sentence_potentials(model, sentence), reference)
+
+    def test_empty_sentence_rejected(self):
+        with pytest.raises(ValueError, match="empty sentence"):
+            sentence_potentials(build_model(["f=1"]), make_sentence([]))
+
+    def test_table_stays_bounded(self):
+        config = FeatureConfig()
+        model = text_model([["tok1", "tok2", "Hive"]], config, np.random.default_rng(8))
+        texts = [f"tok{n}" for n in range(10_000)]
+        for text in texts:
+            for _ in range(2):
+                sentence_potentials(model, make_sentence([text]))
+        _, table, seen = model._sums
+        assert 0 < len(table) <= TABLE_SIZE
+        assert 0 < len(seen) <= SEEN_SIZE
+        assert_matches_reference(model, make_sentence(["tok1", *texts[-3:], "Hive"]))
+
+    def test_models_share_no_entries(self):
+        """Two models decoding the same texts in turn each keep their own
+        sums: a table shared across models would serve one model's weights
+        to the other."""
+        words = ["Apache", "Hive", "uses", "Hive"]
+        rng = np.random.default_rng(9)
+        models = [text_model([words], config, rng, keep=1.0)
+                  for config in (FeatureConfig(), FeatureConfig(), FeatureConfig(3, 3, 1))]
+        for _ in range(3):
+            for model in models:
+                assert_matches_reference(model, make_sentence(words))
+        tables = [model._sums[1] for model in models]
+        assert all(set(table) == {"Apache", "Hive", "uses"} for table in tables)
+        assert len({id(entry) for table in tables for entry in table.values()}) == 9
 
 
 class TestLogPartition:
