@@ -78,26 +78,35 @@ def _span(tokens: Sequence[Token], start: int, end: int) -> Span:
     return Span(start, end, " ".join(t.text for t in tokens[start : end + 1]))
 
 
+def gated_labels(
+    models: PipelineModels,
+    sentence: Sentence,
+    stats: PipelineStats | None = None,
+) -> list[TokenLabel] | None:
+    """Classify the sentence; only a stage-I positive reaches the CRF, whose
+    labels are returned. None for a stage-I negative. A sentence with no
+    in-vocabulary token is negative (see classifier.predict)."""
+    vector = embed_sentence(models.embedding, sentence)
+    if stats is not None:
+        stats.sentences += 1
+        stats.zero_evidence += vector.contributing_count == 0
+    if predict(models.classifier, vector).label is SentenceLabel.NO_TECH:
+        return None
+    if stats is not None:
+        stats.stage2_invocations += 1
+    return viterbi_from_table(sentence_potentials(models.crf, sentence))
+
+
 def extract_sentence(
     models: PipelineModels,
     sentence: Sentence,
     stats: PipelineStats | None = None,
 ) -> Extraction:
-    """Classify the sentence; only stage-I positives reach the CRF.
-
-    The stages may disagree: a positive sentence whose decode is all O is
-    reported positive with no spans. A sentence with no in-vocabulary token
-    is negative (see classifier.predict)."""
-    vector = embed_sentence(models.embedding, sentence)
-    if stats is not None:
-        stats.sentences += 1
-        stats.zero_evidence += vector.contributing_count == 0
-    prediction = predict(models.classifier, vector)
-    if prediction.label is SentenceLabel.NO_TECH:
+    """The cascade on one sentence: gated_labels as spans. The stages may
+    disagree: a positive whose decode is all O is reported with no spans."""
+    labels = gated_labels(models, sentence, stats)
+    if labels is None:
         return Extraction(sentence.doc_id, sentence.index, False, ())
-    if stats is not None:
-        stats.stage2_invocations += 1
-    labels = viterbi_from_table(sentence_potentials(models.crf, sentence))
     spans = spans_from_labels(sentence.tokens, labels)
     return Extraction(sentence.doc_id, sentence.index, True, tuple(spans))
 

@@ -14,7 +14,8 @@ import numpy as np
 from . import modelio
 from .corpus import Sentence, TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
-from .features import FeatureConfig, FeatureIndex, SparseFeatures, admit, token_parts
+from .features import FeatureConfig, FeatureIndex, SparseFeatures, admit, neighbour_features
+from .features import token_parts, window_slices
 
 MAGIC = b"TXCRF"
 VERSION = 1
@@ -111,21 +112,17 @@ def potentials(
     return PotentialTable(start=start, steps=steps)
 
 
-_ZERO = (0.0, 0.0)  # the weight pair of a feature the model does not know
-
-
 def _text_sums(model: CrfModel, text: str) -> tuple:
-    """A token text's share of node scores: its fold, tag and shape; the
-    summed weights of its W0, P0, SH0 and distinct NG features; and the weight
-    pairs it lends its neighbours' W-1, W+1, LW and RW features."""
+    """A token text's share of node scores: its fold, tag, shape, W-1 and
+    W+1 strings; the summed weights of the features it fires itself; and
+    the weight pairs (None if unknown) of the LW and RW features it fires at
+    its neighbours."""
     weights = model._sums[0]
-    word, tag, shape, grams, lw, rw = token_parts(text, model.feature_config)
+    word, tag, shape, own, before, after, lw, rw = token_parts(text, model.feature_config)
     local_t = local_o = 0.0
-    local = (f"W0={word}", f"P0={tag}", f"SH0={shape}", *dict.fromkeys(grams))
-    for t, o in filter(None, map(weights.get, local)):
+    for t, o in filter(None, map(weights.get, own)):
         local_t, local_o = local_t + t, local_o + o
-    lent = [weights.get(f, _ZERO) for f in ("W-1=" + word, "W+1=" + word, lw, rw)]
-    return word, tag, shape, local_t, local_o, *lent
+    return word, tag, shape, before, after, local_t, local_o, weights.get(lw), weights.get(rw)
 
 
 def sentence_potentials(model: CrfModel, sentence: Sentence) -> PotentialTable:
@@ -139,27 +136,17 @@ def sentence_potentials(model: CrfModel, sentence: Sentence) -> PotentialTable:
         rows = map(tuple, model.emission_weights.tolist())
         model._sums = dict(zip(model.feature_index.strings(), rows)), {}, set()
     weights, table, seen = model._sums
-    words, tags, shapes, local_t, local_o, before, after, left, right = zip(
+    words, tags, shapes, before, after, local_t, local_o, left, right = zip(
         *[table.get(text) or admit(table, seen, text, _text_sums(model, text)) for text in texts]
     )
-    tags3, shapes3 = ("BOS", *tags, "EOS"), ("BOS", *shapes, "EOS")
-    # Entry i: the W-1, W+1, PSEQ and SHSEQ weight pairs of position i.
-    neighbours = zip(
-        (weights.get("W-1=<BOS>", _ZERO), *before),
-        (*after[1:], weights.get("W+1=<EOS>", _ZERO)),
-        [weights.get(f"PSEQ={a}_{b}_{c}", _ZERO) for a, b, c in zip(tags3, tags, tags3[2:])],
-        [weights.get(f"SHSEQ={a}_{b}_{c}", _ZERO) for a, b, c in zip(shapes3, shapes, shapes3[2:])],
-    )
-    window, unique = model.feature_config.window, len(set(words)) == len(words)
     node = []
-    for i, (t, o, pairs) in enumerate(zip(local_t, local_o, neighbours)):
-        lo, hi = max(0, i - window), i + 1 + window
-        if unique:
-            context = (*left[lo:i], *right[i + 1 : hi])
-        else:  # a fold repeated inside a window fires its LW or RW feature once
-            context = (*dict(zip(words[lo:i], left[lo:i])).values(),
-                       *dict(zip(words[i + 1 : hi], right[i + 1 : hi])).values())
-        for a, b in (*pairs, *context):
+    neighbours = neighbour_features(before, after, tags, shapes)
+    for i, (t, o, strings) in enumerate(zip(local_t, local_o, neighbours)):
+        left_of, right_of = window_slices(i, model.feature_config.window)
+        # A fold repeated inside a window fires its LW or RW feature once.
+        context = (*dict(zip(words[left_of], left[left_of])).values(),
+                   *dict(zip(words[right_of], right[right_of])).values())
+        for a, b in filter(None, (*map(weights.get, strings), *context)):
             t, o = t + a, o + b
         node.append((t, o))
     start, steps = _clique_scores(model.transition_weights, np.array(node))

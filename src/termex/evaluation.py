@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cascade import PipelineModels, extract_sentence, spans_from_labels
+from .cascade import PipelineModels, gated_labels, spans_from_labels
 from .classifier import predict
 from .corpus import LabeledSentence, SentenceLabel, TokenLabel
 from .crf import sentence_potentials, viterbi_from_table
@@ -101,13 +101,13 @@ def evaluate_stage2(
 def evaluate_end_to_end(
     models: PipelineModels, test: Sequence[LabeledSentence]
 ) -> EvalReport:
-    """Token-level report over all sentences run through the cascade: tokens
-    outside its spans, so all of a stage-I negative's, are predicted O."""
+    """Token-level report over all sentences with the cascade's gating: a
+    stage-I negative pushes every one of its tokens to predicted O."""
     outcomes = []
     for labeled in test:
-        predicted = [TokenLabel.O] * len(labeled.token_labels)
-        for span in extract_sentence(models, labeled.sentence).term_spans:
-            predicted[span.start : span.end + 1] = [TokenLabel.T] * (span.end + 1 - span.start)
+        predicted = gated_labels(models, labeled.sentence)
+        if predicted is None:
+            predicted = [TokenLabel.O] * len(labeled.token_labels)
         for gold, pred in zip(labeled.token_labels, predicted):
             outcomes.append(_count(gold is TokenLabel.T, pred is TokenLabel.T))
     return f_score(_tally(outcomes), mode="end_to_end")

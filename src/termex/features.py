@@ -113,11 +113,31 @@ def _tables(ngram_min: int, ngram_max: int) -> tuple[dict[str, tuple], set[str]]
 
 def token_parts(text: str, config: FeatureConfig) -> tuple:
     """Everything sentence_features derives from a token's text alone: the
-    case-folded word, the coarse tag, the shape, the NG strings as a tuple,
-    and the LW= and RW= strings."""
+    case-folded word, the coarse tag and the shape; the features the token
+    fires itself (W0, P0, SH0 and its distinct NG strings, in order); and the
+    W-1, W+1, LW and RW strings it fires at its neighbours."""
     word = text.casefold()
-    grams = tuple(_ngrams(text, config.ngram_min, config.ngram_max))
-    return (word, _tag_token(text).value, word_shape(text), grams, "LW=" + word, "RW=" + word)
+    tag, shape = _tag_token(text).value, word_shape(text)
+    grams = dict.fromkeys(_ngrams(text, config.ngram_min, config.ngram_max))
+    own = (f"W0={word}", f"P0={tag}", f"SH0={shape}", *grams)
+    return word, tag, shape, own, "W-1=" + word, "W+1=" + word, "LW=" + word, "RW=" + word
+
+
+def neighbour_features(
+    before: Sequence[str], after: Sequence[str], tags: Sequence[str], shapes: Sequence[str]
+) -> list[tuple[str, str, str, str]]:
+    """The W-1, W+1, PSEQ and SHSEQ strings at every position, from each
+    token's W-1 and W+1 strings, tag and shape (see token_parts), with
+    <BOS> and BOS before the first token, <EOS> and EOS after the last."""
+    tags3, shapes3 = ("BOS", *tags, "EOS"), ("BOS", *shapes, "EOS")
+    pseq = [f"PSEQ={a}_{b}_{c}" for a, b, c in zip(tags3, tags, tags3[2:])]
+    shseq = [f"SHSEQ={a}_{b}_{c}" for a, b, c in zip(shapes3, shapes, shapes3[2:])]
+    return list(zip(("W-1=<BOS>", *before), (*after[1:], "W+1=<EOS>"), pseq, shseq))
+
+
+def window_slices(i: int, window: int) -> tuple[slice, slice]:
+    """The positions whose LW and RW features fire at position i."""
+    return slice(max(0, i - window), i), slice(i + 1, i + 1 + window)
 
 
 def sentence_features(
@@ -142,30 +162,13 @@ def sentence_features(
     if not texts:
         return []
     table, seen = _tables(config.ngram_min, config.ngram_max)
-    words, tags, shapes, grams, left, right = zip(
+    _, tags, shapes, own, before, after, left, right = zip(
         *[table.get(text) or admit(table, seen, text, token_parts(text, config)) for text in texts]
     )
-    # Padded by one on each side: entry i is the left neighbour of token i,
-    # entry i + 2 its right neighbour.
-    around_words = ["<BOS>", *words, "<EOS>"]
-    around_tags = ["BOS", *tags, "EOS"]
-    around_shapes = ["BOS", *shapes, "EOS"]
-    window = config.window
     out = []
-    for i, word in enumerate(words):
-        tag, shape = tags[i], shapes[i]
-        fired = (
-            f"W0={word}",
-            f"W-1={around_words[i]}",
-            f"W+1={around_words[i + 2]}",
-            f"P0={tag}",
-            f"SH0={shape}",
-            f"PSEQ={around_tags[i]}_{tag}_{around_tags[i + 2]}",
-            f"SHSEQ={around_shapes[i]}_{shape}_{around_shapes[i + 2]}",
-            *grams[i],
-            *left[max(0, i - window) : i],
-            *right[i + 1 : i + 1 + window],
-        )
+    for i, neighbours in enumerate(neighbour_features(before, after, tags, shapes)):
+        left_of, right_of = window_slices(i, config.window)
+        fired = (*own[i], *neighbours, *left[left_of], *right[right_of])
         out.append(SparseFeatures(frozenset(fired)))
     return out
 
