@@ -37,6 +37,7 @@ class PipelineStats:
     sentences: int = 0
     stage2_invocations: int = 0
     zero_evidence: int = 0  # sentences with no in-vocabulary token
+    punctuation_only: int = 0  # sentences whose in-vocabulary tokens are all punctuation
 
 
 @dataclass
@@ -84,12 +85,13 @@ def gated_labels(
     stats: PipelineStats | None = None,
 ) -> list[TokenLabel] | None:
     """Classify the sentence; only a stage-I positive reaches the CRF, whose
-    labels are returned. None for a stage-I negative. A sentence with no
-    in-vocabulary token is negative (see classifier.predict)."""
+    labels are returned. None for a stage-I negative, which a sentence with
+    no evidence always is (see classifier.predict)."""
     vector = embed_sentence(models.embedding, sentence)
     if stats is not None:
         stats.sentences += 1
         stats.zero_evidence += vector.contributing_count == 0
+        stats.punctuation_only += vector.punctuation_only
     if predict(models.classifier, vector).label is SentenceLabel.NO_TECH:
         return None
     if stats is not None:

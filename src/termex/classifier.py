@@ -158,9 +158,10 @@ def loss_and_gradients(
 def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
     """Softmax probabilities and the thresholded label; a tie goes to NoTech.
 
-    A sentence with no in-vocabulary token (contributing_count == 0) carries
-    no evidence, so it is NoTech whatever the bias favours; its probabilities
-    are still the model's."""
+    A sentence with no in-vocabulary token (contributing_count == 0), or with
+    only punctuation ones (punctuation_only), carries no evidence, so it is
+    NoTech whatever the bias favours; its probabilities are still the model's.
+    SYM tokens such as `node.js` and `$` are evidence."""
     if vector.values.shape != (model.d,):
         raise DimensionMismatchError(
             f"sentence vector has dim {vector.values.shape}, model expects {model.d}"
@@ -169,7 +170,7 @@ def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
     probs = softmax(logits[0])
     label = (
         SentenceLabel.CONTAINS_TECH
-        if probs[0] > probs[1] and vector.contributing_count > 0
+        if probs[0] > probs[1] and vector.contributing_count > 0 and not vector.punctuation_only
         else SentenceLabel.NO_TECH
     )
     return Prediction(label=label, probabilities=probs)

@@ -15,7 +15,7 @@ from . import modelio
 from .corpus import Sentence, TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
 from .features import FeatureConfig, FeatureIndex, SparseFeatures, admit, neighbour_features
-from .features import token_parts, window_slices
+from .features import ngram_key, raw_ngrams, window_slices, word_parts
 
 MAGIC = b"TXCRF"
 VERSION = 1
@@ -116,11 +116,15 @@ def _text_sums(model: CrfModel, text: str) -> tuple:
     """A token text's share of node scores: its fold, tag, shape, W-1 and
     W+1 strings; the summed weights of the features it fires itself; and
     the weight pairs (None if unknown) of the LW and RW features it fires at
-    its neighbours."""
-    weights = model._sums[0]
-    word, tag, shape, own, before, after, lw, rw = token_parts(text, model.feature_config)
+    its neighbours. Its raw n-grams are looked up by key, and each known one
+    adds once, in first-occurrence order, as token_parts' NG strings do."""
+    weights, grams = model._sums[0]
+    config = model.feature_config
+    word, tag, shape, own, before, after, lw, rw = word_parts(text)
+    walk = raw_ngrams(text, config.ngram_min, config.ngram_max)
+    hits = dict.fromkeys(filter(grams.__contains__, walk))
     local_t = local_o = 0.0
-    for t, o in filter(None, map(weights.get, own)):
+    for t, o in (*filter(None, map(weights.get, own)), *map(grams.__getitem__, hits)):
         local_t, local_o = local_t + t, local_o + o
     return word, tag, shape, before, after, local_t, local_o, weights.get(lw), weights.get(rw)
 
@@ -134,8 +138,10 @@ def sentence_potentials(model: CrfModel, sentence: Sentence) -> PotentialTable:
         raise ValueError("cannot build potentials for an empty sentence")
     if model._sums is None:
         rows = map(tuple, model.emission_weights.tolist())
-        model._sums = dict(zip(model.feature_index.strings(), rows)), {}, set()
-    weights, table, seen = model._sums
+        weights = dict(zip(model.feature_index.strings(), rows))
+        grams = {key: row for f, row in weights.items() if (key := ngram_key(f)) is not None}
+        model._sums = (weights, grams), {}, set()
+    (weights, _), table, seen = model._sums
     words, tags, shapes, before, after, local_t, local_o, left, right = zip(
         *[table.get(text) or admit(table, seen, text, _text_sums(model, text)) for text in texts]
     )

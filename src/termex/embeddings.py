@@ -17,6 +17,7 @@ from .errors import (
     ModelFormatError,
     NonFiniteLossError,
 )
+from .features import CoarsePosTag, _tag_token
 
 MAGIC = b"TXEMB"
 VERSION = 1
@@ -28,9 +29,12 @@ class Vocabulary:
     counts: np.ndarray  # int64 corpus frequency per index
     min_count: int
     index: dict[str, int] = field(init=False)
+    punctuation: frozenset[int] = field(init=False)  # ids of PUNCT-tagged words
 
     def __post_init__(self):
         self.index = {w: i for i, w in enumerate(self.words)}
+        tags = map(_tag_token, self.words)
+        self.punctuation = frozenset(i for i, tag in enumerate(tags) if tag is CoarsePosTag.PUNCT)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -57,7 +61,8 @@ class EmbeddingModel:
 @dataclass(frozen=True)
 class SentenceVector:
     values: np.ndarray
-    contributing_count: int
+    contributing_count: int  # in-vocabulary tokens
+    punctuation_only: bool = False  # some in-vocabulary tokens, all punctuation
 
 
 @dataclass(frozen=True)
@@ -308,7 +313,8 @@ def embed_sentence(model: EmbeddingModel, sentence: Sentence) -> SentenceVector:
     """Element-wise mean of the input vectors of in-vocabulary tokens.
 
     Out-of-vocabulary tokens are skipped; an all-OOV sentence yields the
-    zero vector with contributing_count == 0."""
+    zero vector with contributing_count == 0; punctuation_only marks one whose
+    in-vocabulary tokens are all PUNCT-tagged (see classifier.predict)."""
     rows = [
         idx
         for idx in (model.vocab.lookup(w) for w in sentence.folded_texts())
@@ -317,7 +323,7 @@ def embed_sentence(model: EmbeddingModel, sentence: Sentence) -> SentenceVector:
     if not rows:
         return SentenceVector(np.zeros(model.dim), 0)
     values = model.input_vectors[rows].mean(axis=0)
-    return SentenceVector(values, len(rows))
+    return SentenceVector(values, len(rows), model.vocab.punctuation.issuperset(rows))
 
 
 def save_embeddings(model: EmbeddingModel, path: str | Path) -> None:

@@ -55,15 +55,20 @@ def word_shape(text: str) -> str:
     return "".join(out)
 
 
-def _ngrams(text: str, n_min: int, n_max: int) -> list[str]:
-    """An NG feature for each contiguous n-gram of the boundary-marked,
-    lowercased token, repeats included."""
+def raw_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
+    """Each contiguous n-gram of the boundary-marked, lowercased token,
+    repeats included: the NG features' keys without their prefix."""
     marked = "<" + text.lower() + ">"
     return [
-        "NG=" + marked[at : at + n]
+        marked[at : at + n]
         for n in range(n_min, min(n_max, len(marked)) + 1)
         for at in range(len(marked) - n + 1)
     ]
+
+
+def ngram_key(feature: str) -> str | None:
+    """The raw n-gram an NG feature string names; None for other templates."""
+    return feature[3:] if feature.startswith("NG=") else None
 
 
 def _tag_token(text: str) -> CoarsePosTag:
@@ -111,16 +116,22 @@ def _tables(ngram_min: int, ngram_max: int) -> tuple[dict[str, tuple], set[str]]
     return {}, set()
 
 
+def word_parts(text: str) -> tuple:
+    """token_parts without the n-grams: its own features are W0, P0 and SH0."""
+    word = text.casefold()
+    tag, shape = _tag_token(text).value, word_shape(text)
+    own = (f"W0={word}", f"P0={tag}", f"SH0={shape}")
+    return word, tag, shape, own, "W-1=" + word, "W+1=" + word, "LW=" + word, "RW=" + word
+
+
 def token_parts(text: str, config: FeatureConfig) -> tuple:
     """Everything sentence_features derives from a token's text alone: the
     case-folded word, the coarse tag and the shape; the features the token
     fires itself (W0, P0, SH0 and its distinct NG strings, in order); and the
     W-1, W+1, LW and RW strings it fires at its neighbours."""
-    word = text.casefold()
-    tag, shape = _tag_token(text).value, word_shape(text)
-    grams = dict.fromkeys(_ngrams(text, config.ngram_min, config.ngram_max))
-    own = (f"W0={word}", f"P0={tag}", f"SH0={shape}", *grams)
-    return word, tag, shape, own, "W-1=" + word, "W+1=" + word, "LW=" + word, "RW=" + word
+    word, tag, shape, own, *neighbours = word_parts(text)
+    grams = dict.fromkeys(["NG=" + g for g in raw_ngrams(text, config.ngram_min, config.ngram_max)])
+    return word, tag, shape, (*own, *grams), *neighbours
 
 
 def neighbour_features(

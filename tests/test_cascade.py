@@ -10,6 +10,7 @@ from termex.cascade import (
 )
 from termex.classifier import ClassifierModel
 from termex.corpus import Document, Token, TokenLabel, split_document
+from termex.embeddings import EmbeddingModel, Vocabulary
 from termex.errors import LengthMismatchError, ModelMismatchError
 
 T, O = TokenLabel.T, TokenLabel.O
@@ -136,34 +137,71 @@ class TestZeroEvidence:
             crf=small_run.models.crf,
         )
 
+    @pytest.fixture
+    def symbol_models(self, eager_models):
+        """The eager models over a vocabulary of punctuation and SYM words."""
+        words, dim = [".", ",", "node.js", "$"], eager_models.embedding.dim
+        vocab = Vocabulary(words, np.ones(len(words), dtype=np.int64), min_count=1)
+        vectors = np.random.default_rng(4).normal(size=(len(words), dim))
+        embedding = EmbeddingModel(dim, vocab, vectors, np.zeros_like(vectors))
+        return PipelineModels(embedding, eager_models.classifier, eager_models.crf)
+
+    @staticmethod
+    def counts(stats):
+        return (stats.sentences, stats.stage2_invocations, stats.zero_evidence,
+                stats.punctuation_only)
+
+    def assert_never_reaches_crf(self, models, monkeypatch, text):
+        def no_crf(*args):
+            raise AssertionError("stage II ran on a sentence without evidence")
+
+        monkeypatch.setattr("termex.cascade.sentence_potentials", no_crf)
+        (sentence,) = split_document(Document(id="z", text=text))
+        stats = PipelineStats()
+        extraction = extract_sentence(models, sentence, stats)
+        assert not extraction.sentence_positive
+        assert extraction.term_spans == ()
+        return sentence, stats
+
     @pytest.mark.parametrize("text", ["!!!", "Zqxv Wqpz Jxvk"])
     def test_no_in_vocabulary_token_never_reaches_crf(
         self, eager_models, monkeypatch, text
     ):
-        (sentence,) = split_document(Document(id="z", text=text))
+        sentence, stats = self.assert_never_reaches_crf(eager_models, monkeypatch, text)
         vocab = eager_models.embedding.vocab
         assert not any(word in vocab for word in sentence.folded_texts())
+        assert self.counts(stats) == (1, 0, 1, 0)
 
-        def no_crf(*args):
-            raise AssertionError("stage II ran on a zero-evidence sentence")
-
-        monkeypatch.setattr("termex.cascade.sentence_potentials", no_crf)
-        stats = PipelineStats()
-        extraction = extract_sentence(eager_models, sentence, stats)
-        assert not extraction.sentence_positive
-        assert extraction.term_spans == ()
-        assert (stats.sentences, stats.stage2_invocations, stats.zero_evidence) == (
-            1, 0, 1,
-        )
+    @pytest.mark.parametrize("text", [".", ". , .", "Zqxv, wqpz.", "Zqxv Wqpz Jxvk."])
+    def test_punctuation_only_evidence_never_reaches_crf(
+        self, eager_models, monkeypatch, text
+    ):
+        sentence, stats = self.assert_never_reaches_crf(eager_models, monkeypatch, text)
+        vocab = eager_models.embedding.vocab
+        in_vocab = {word for word in sentence.folded_texts() if word in vocab}
+        assert in_vocab and in_vocab <= {".", ","}
+        assert self.counts(stats) == (1, 0, 0, 1)
 
     def test_in_vocabulary_sentence_still_reaches_crf(self, eager_models):
         stats = PipelineStats()
         doc = Document(id="d", text="Teams deploy Kubernetes widely. Zqxv Wqpz Jxvk")
         extractions = extract_from_document(doc, eager_models, stats)
         assert [e.sentence_positive for e in extractions] == [True, False]
-        assert (stats.sentences, stats.stage2_invocations, stats.zero_evidence) == (
-            2, 1, 1,
-        )
+        assert self.counts(stats) == (2, 1, 1, 0)
+
+    def test_punctuation_plus_one_word_reaches_crf(self, eager_models):
+        stats = PipelineStats()
+        doc = Document(id="d", text="Zqxv, wqpz. Zqxv, wqpz Kubernetes.")
+        extractions = extract_from_document(doc, eager_models, stats)
+        assert [e.sentence_positive for e in extractions] == [False, True]
+        assert self.counts(stats) == (2, 1, 0, 1)
+
+    def test_symbols_are_evidence(self, symbol_models):
+        stats = PipelineStats()
+        doc = Document(id="d", text="Zqxv node.js wqpz. Pay $ 5. Zqxv, wqpz.")
+        extractions = extract_from_document(doc, symbol_models, stats)
+        assert [e.sentence_positive for e in extractions] == [True, True, False]
+        assert self.counts(stats) == (3, 2, 0, 1)
 
     @pytest.mark.parametrize("text", ["", "   \n\t  \n"])
     def test_empty_document_yields_nothing(self, small_run, text):

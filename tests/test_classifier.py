@@ -18,9 +18,17 @@ from termex.classifier import (
     softmax,
     train_classifier,
 )
-from termex.corpus import SentenceLabel
-from termex.embeddings import SentenceVector
+from termex.corpus import Document, SentenceLabel, split_document
+from termex.embeddings import (
+    EmbeddingModel,
+    SentenceVector,
+    Vocabulary,
+    embed_sentence,
+    load_embeddings,
+    save_embeddings,
+)
 from termex.errors import ConfigError, DimensionMismatchError, ModelFormatError
+from termex.features import CoarsePosTag, _tag_token
 
 
 def ex(values, label):
@@ -193,6 +201,69 @@ class TestPredict:
             ref_logits = ref_hidden @ model.output_weights.T + model.bias
             assert hidden.tobytes() == ref_hidden.tobytes()
             assert logits.tobytes() == ref_logits.tobytes()
+
+
+# Punctuation (PUNCT) first, then symbols and words (SYM, LOWER).
+EVIDENCE_WORDS = [".", ",", "%", "#", "$", "node.js", "scikit-learn", "kafka"]
+
+
+def evidence_embeddings(dim=4):
+    n = len(EVIDENCE_WORDS)
+    vocab = Vocabulary(words=EVIDENCE_WORDS, counts=np.ones(n, dtype=np.int64), min_count=1)
+    rng = np.random.default_rng(3)
+    return EmbeddingModel(dim, vocab, rng.normal(size=(n, dim)), np.zeros((n, dim)))
+
+
+def eager_model(d):
+    """A classifier whose bias calls every sentence positive."""
+    return ClassifierModel(
+        projection=np.eye(d), output_weights=np.zeros((2, d)), bias=np.array([3.0, -3.0])
+    )
+
+
+def embed_text(model, text):
+    (sentence,) = split_document(Document(id="p", text=text))
+    return embed_sentence(model, sentence)
+
+
+class TestPunctuationEvidence:
+    def test_vocabulary_marks_punctuation_ids(self):
+        tags = [_tag_token(word) for word in EVIDENCE_WORDS]
+        assert tags[:4] == [CoarsePosTag.PUNCT] * 4
+        assert tags[4:7] == [CoarsePosTag.SYM] * 3
+        assert evidence_embeddings().vocab.punctuation == frozenset(range(4))
+
+    @pytest.mark.parametrize("text", [".", ". , ;", "Zqxv, wqpz.", "Zqxv # wqpz %."])
+    def test_punctuation_only_is_negative(self, text):
+        model = evidence_embeddings()
+        vector = embed_text(model, text)
+        assert vector.contributing_count > 0 and vector.punctuation_only
+        p = predict(eager_model(model.dim), vector)
+        assert p.label is SentenceLabel.NO_TECH
+        assert np.allclose(p.probabilities, softmax(np.array([3.0, -3.0])))
+
+    @pytest.mark.parametrize(
+        "text", ["Zqxv, wqpz kafka.", "Deploy node.js now.", "Pay $ 5.", "Zqxv scikit-learn."]
+    )
+    def test_a_word_or_symbol_is_evidence(self, text):
+        model = evidence_embeddings()
+        vector = embed_text(model, text)
+        assert not vector.punctuation_only
+        assert predict(eager_model(model.dim), vector).label is SentenceLabel.CONTAINS_TECH
+
+    def test_all_oov_is_not_counted_as_punctuation_only(self):
+        vector = embed_text(evidence_embeddings(), "Zqxv wqpz")
+        assert (vector.contributing_count, vector.punctuation_only) == (0, False)
+
+    def test_hand_built_vector_is_evidence(self):
+        assert SentenceVector(np.zeros(2), 2).punctuation_only is False
+
+    def test_loaded_vocabulary_rebuilds_punctuation_ids(self, tmp_path):
+        save_embeddings(evidence_embeddings(), tmp_path / "embeddings.bin")
+        loaded = load_embeddings(tmp_path / "embeddings.bin")
+        assert loaded.vocab.punctuation == frozenset(range(4))
+        flags = [embed_text(loaded, text).punctuation_only for text in ("Zqxv, wqpz.", "Pay $ 5.")]
+        assert flags == [True, False]
 
 
 class TestTraining:

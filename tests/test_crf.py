@@ -11,6 +11,7 @@ from termex.crf import (
     CrfConfig,
     CrfModel,
     PotentialTable,
+    _text_sums,
     lbfgs_maximize,
     load_crf,
     log_partition,
@@ -33,6 +34,7 @@ from termex.features import (
     FeatureIndex,
     SparseFeatures,
     sentence_features,
+    token_parts,
 )
 from tests.conftest import gradient_ascent_reference
 
@@ -289,6 +291,46 @@ class TestSentencePotentials:
         tables = [model._sums[1] for model in models]
         assert all(set(table) == {"Apache", "Hive", "uses"} for table in tables)
         assert len({id(entry) for table in tables for entry in table.values()}) == 9
+
+
+# Unigrams only, default bounds, wide spans, and a floor that "<a>" is under.
+RAW_CONFIGS = [
+    FeatureConfig(1, 1, 1),
+    FeatureConfig(2, 4, 4),
+    FeatureConfig(3, 5, 2),
+    FeatureConfig(1, 6, 6),
+    FeatureConfig(5, 6, 1),
+]
+# Repeated n-grams, lower() changing the length ("İ") or not ("ß"), and texts
+# shorter than ngram_min.
+RAW_TEXTS = ["aaaa", "Aaaa", "İ", "İstanbul", "ß", "Straße", "a", "ab", "C++", "2,019"]
+
+
+def assert_local_sums_exact(text, config, seed, keep):
+    """_text_sums' local sums equal, bit for bit, the known weights of
+    token_parts' own strings added in tuple order."""
+    model = text_model([[text], RAW_TEXTS], config, np.random.default_rng(seed), keep)
+    sentence_potentials(model, make_sentence([text]))
+    weights = dict(zip(model.feature_index.strings(), model.emission_weights.tolist()))
+    local_t = local_o = 0.0
+    for feature in token_parts(text, config)[3]:
+        if feature in weights:
+            local_t, local_o = local_t + weights[feature][0], local_o + weights[feature][1]
+    assert _text_sums(model, text)[5:7] == (local_t, local_o)
+
+
+class TestRawNgramSums:
+    @given(text=st.text(min_size=1, max_size=10), config=st.sampled_from(RAW_CONFIGS),
+           seed=st.integers(0, 2**32 - 1), keep=st.sampled_from([0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_the_own_strings_sum(self, text, config, seed, keep):
+        assert_local_sums_exact(text, config, seed, keep)
+
+    @pytest.mark.parametrize("config", RAW_CONFIGS, ids=str)
+    @pytest.mark.parametrize("text", RAW_TEXTS)
+    def test_named_cases(self, text, config):
+        for seed, keep in ((1, 0.5), (2, 0.8), (3, 1.0)):
+            assert_local_sums_exact(text, config, seed, keep)
 
 
 class TestLogPartition:
