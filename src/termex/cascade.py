@@ -4,14 +4,14 @@ tagger, and decoded T runs become term spans."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .classifier import ClassifierModel, predict
-from .corpus import Document, Sentence, SentenceLabel, Token, TokenLabel, split_document
+from .classifier import ClassifierModel
+from .corpus import Document, Sentence, Token, TokenLabel, split_document
 from .crf import CrfModel, sentence_potentials, viterbi_from_table
-from .embeddings import EmbeddingModel, embed_sentence
+from .embeddings import EmbeddingModel
 from .errors import LengthMismatchError, ModelMismatchError
 
 
@@ -35,6 +35,8 @@ class Extraction:
 @dataclass
 class PipelineStats:
     sentences: int = 0
+    tokens: int = 0
+    in_vocab_tokens: int = 0
     stage2_invocations: int = 0
     zero_evidence: int = 0  # sentences with no in-vocabulary token
     punctuation_only: int = 0  # sentences whose in-vocabulary tokens are all punctuation
@@ -42,9 +44,16 @@ class PipelineStats:
 
 @dataclass
 class PipelineModels:
+    """The cascade's models, read-only once constructed: the gate scores from
+    per-word logits computed here."""
+
     embedding: EmbeddingModel
     classifier: ClassifierModel
     crf: CrfModel
+    # Each word's (ContainsTech, NoTech) logits without the bias: nothing lies
+    # between the sentence mean and the logits, so W.mean(v) == mean(W.v).
+    word_logits: list[tuple[float, float]] = field(init=False, repr=False, compare=False)
+    bias: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.classifier.d != self.embedding.dim:
@@ -52,6 +61,10 @@ class PipelineModels:
                 f"classifier expects dim {self.classifier.d}, "
                 f"embeddings provide {self.embedding.dim}"
             )
+        c, vectors = self.classifier, self.embedding.input_vectors
+        hidden = vectors @ c.projection.T if c.use_hidden else vectors
+        self.word_logits = list(map(tuple, (hidden @ c.output_weights.T).tolist()))
+        self.bias = tuple(c.bias.tolist())
 
 
 def spans_from_labels(
@@ -79,20 +92,47 @@ def _span(tokens: Sequence[Token], start: int, end: int) -> Span:
     return Span(start, end, " ".join(t.text for t in tokens[start : end + 1]))
 
 
+def stage1_logits(models: PipelineModels, rows: Sequence[int]) -> tuple[float, float]:
+    """The bias plus the mean word_logits of a sentence's in-vocabulary ids,
+    repeats included: classifier.predict's logits for embed_sentence's vector,
+    summed in another float order."""
+    t = o = 0.0
+    word_logits = models.word_logits
+    for i in rows:
+        wt, wo = word_logits[i]
+        t += wt
+        o += wo
+    n = len(rows)
+    bt, bo = models.bias
+    return t / n + bt, o / n + bo
+
+
+def gate(models: PipelineModels, sentence: Sentence, stats: PipelineStats | None = None) -> bool:
+    """Stage I at inference: whether stage1_logits call the sentence
+    ContainsTech. With no in-vocabulary token, or only punctuation ones, a
+    sentence carries no evidence and is NoTech; so is a tie."""
+    vocab = models.embedding.vocab
+    rows = [i for i in map(vocab.index.get, sentence.folded_texts()) if i is not None]
+    punctuation_only = bool(rows) and vocab.punctuation.issuperset(rows)
+    if stats is not None:
+        stats.sentences += 1
+        stats.tokens += len(sentence.tokens)
+        stats.in_vocab_tokens += len(rows)
+        stats.zero_evidence += not rows
+        stats.punctuation_only += punctuation_only
+    if not rows or punctuation_only:
+        return False
+    t, o = stage1_logits(models, rows)
+    return t > o
+
+
 def gated_labels(
     models: PipelineModels,
     sentence: Sentence,
     stats: PipelineStats | None = None,
 ) -> list[TokenLabel] | None:
-    """Classify the sentence; only a stage-I positive reaches the CRF, whose
-    labels are returned. None for a stage-I negative, which a sentence with
-    no evidence always is (see classifier.predict)."""
-    vector = embed_sentence(models.embedding, sentence)
-    if stats is not None:
-        stats.sentences += 1
-        stats.zero_evidence += vector.contributing_count == 0
-        stats.punctuation_only += vector.punctuation_only
-    if predict(models.classifier, vector).label is SentenceLabel.NO_TECH:
+    """The CRF's labels for a sentence that passes the gate, else None."""
+    if not gate(models, sentence, stats):
         return None
     if stats is not None:
         stats.stage2_invocations += 1

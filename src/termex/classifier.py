@@ -158,6 +158,8 @@ def loss_and_gradients(
 def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
     """Softmax probabilities and the thresholded label; a tie goes to NoTech.
 
+    The vector-level reference that tests hold the cascade's gate to.
+
     A sentence with no in-vocabulary token (contributing_count == 0), or with
     only punctuation ones (punctuation_only), carries no evidence, so it is
     NoTech whatever the bias favours; its probabilities are still the model's.

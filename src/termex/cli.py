@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import formats
@@ -56,12 +57,8 @@ def _load_config(args) -> RunConfig:
     cfg = load_run_config(path)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-        cfg.embeddings = type(cfg.embeddings)(
-            **{**cfg.embeddings.__dict__, "seed": args.seed}
-        )
-        cfg.classifier = type(cfg.classifier)(
-            **{**cfg.classifier.__dict__, "seed": args.seed}
-        )
+        cfg.embeddings = replace(cfg.embeddings, seed=args.seed)
+        cfg.classifier = replace(cfg.classifier, seed=args.seed)
     return cfg
 
 

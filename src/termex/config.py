@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 from .classifier import ClassifierConfig
@@ -47,16 +47,27 @@ def default_config_path() -> str | None:
     return os.environ.get(ENV_CONFIG)
 
 
+# A stage section holds the int, float and bool fields of its configs (the
+# CRF's feature config is flattened into [crf]); the seeds come from [main].
+_CASTS = {"int": int, "float": float, "bool": bool}
+_STAGES = {
+    "embeddings": (SkipgramConfig,),
+    "classifier": (ClassifierConfig,),
+    "crf": (CrfConfig, FeatureConfig),
+}
+
+
+def _stage_fields(config_type) -> list[Field]:
+    return [f for f in fields(config_type) if f.name != "seed" and f.type in _CASTS]
+
+
 # The keys each section accepts; anything else is a typo or a leftover.
 _KEYS = {
     "main": {"seed", "corpus", "gazetteer", "workdir", "ratios"},
     "synth": {"n_sentences", "positive_rate", "sentences_per_doc"},
-    "embeddings": {
-        "dim", "window", "negatives", "epochs", "learning_rate", "min_count",
-    },
-    "classifier": {"epochs", "learning_rate", "l2", "use_hidden", "batch_size"},
-    "crf": {
-        "epochs", "l2", "feature_min_count", "ngram_min", "ngram_max", "window",
+    **{
+        name: {f.name for config_type in types for f in _stage_fields(config_type)}
+        for name, types in _STAGES.items()
     },
 }
 
@@ -88,6 +99,15 @@ def _get(values: dict[str, str], key: str, cast, fallback):
         return cast(values[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from exc
+
+
+def _read(values: dict[str, str], base, **fixed):
+    """`base` with the stage fields that `values` names, cast, and `fixed`."""
+    read = {
+        f.name: _get(values, f.name, _CASTS[f.type], getattr(base, f.name))
+        for f in _stage_fields(type(base))
+    }
+    return replace(base, **read, **fixed)
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:
@@ -124,39 +144,8 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         synth, "sentences_per_doc", int, cfg.synth_sentences_per_doc
     )
 
-    emb = _section(parser, "embeddings")
-    base = cfg.embeddings
-    cfg.embeddings = SkipgramConfig(
-        dim=_get(emb, "dim", int, base.dim),
-        window=_get(emb, "window", int, base.window),
-        negatives=_get(emb, "negatives", int, base.negatives),
-        epochs=_get(emb, "epochs", int, base.epochs),
-        learning_rate=_get(emb, "learning_rate", float, base.learning_rate),
-        min_count=_get(emb, "min_count", int, base.min_count),
-        seed=cfg.seed,
-    )
-
-    cls = _section(parser, "classifier")
-    cbase = cfg.classifier
-    cfg.classifier = ClassifierConfig(
-        epochs=_get(cls, "epochs", int, cbase.epochs),
-        learning_rate=_get(cls, "learning_rate", float, cbase.learning_rate),
-        l2=_get(cls, "l2", float, cbase.l2),
-        seed=cfg.seed,
-        use_hidden=_get(cls, "use_hidden", bool, cbase.use_hidden),
-        batch_size=_get(cls, "batch_size", int, cbase.batch_size),
-    )
-
+    cfg.embeddings = _read(_section(parser, "embeddings"), cfg.embeddings, seed=cfg.seed)
+    cfg.classifier = _read(_section(parser, "classifier"), cfg.classifier, seed=cfg.seed)
     crf = _section(parser, "crf")
-    kbase = cfg.crf
-    cfg.crf = CrfConfig(
-        epochs=_get(crf, "epochs", int, kbase.epochs),
-        l2=_get(crf, "l2", float, kbase.l2),
-        feature_min_count=_get(crf, "feature_min_count", int, kbase.feature_min_count),
-        feature_config=FeatureConfig(
-            ngram_min=_get(crf, "ngram_min", int, kbase.feature_config.ngram_min),
-            ngram_max=_get(crf, "ngram_max", int, kbase.feature_config.ngram_max),
-            window=_get(crf, "window", int, kbase.feature_config.window),
-        ),
-    )
+    cfg.crf = _read(crf, cfg.crf, feature_config=_read(crf, cfg.crf.feature_config))
     return cfg

@@ -279,6 +279,7 @@ class CrfConfig:
             raise ConfigError(
                 f"feature_min_count must be >= 1, got {self.feature_min_count}"
             )
+        self.feature_config.validate()
 
 
 @dataclass
@@ -498,6 +499,10 @@ def load_crf(path: str | Path) -> CrfModel:
         emission = modelio.read_matrix(fh, (count, 2))
         transition = modelio.read_matrix(fh, (3, 2))
         modelio.read_end(fh)
+    try:
+        feature_config.validate()
+    except ConfigError as exc:
+        raise ModelFormatError(f"bad feature config in the CRF model: {exc}") from exc
     index = FeatureIndex.from_strings(strings)
     if len(index) != count:
         raise ModelFormatError("repeated feature strings in the CRF model")

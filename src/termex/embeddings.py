@@ -310,7 +310,8 @@ def train_skipgram(
 
 
 def embed_sentence(model: EmbeddingModel, sentence: Sentence) -> SentenceVector:
-    """Element-wise mean of the input vectors of in-vocabulary tokens.
+    """Element-wise mean of the input vectors of in-vocabulary tokens: the
+    classifier's training input, and the tests' reference for cascade.gate.
 
     Out-of-vocabulary tokens are skipped; an all-OOV sentence yields the
     zero vector with contributing_count == 0; punctuation_only marks one whose

@@ -6,11 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cascade import PipelineModels, gated_labels, spans_from_labels
-from .classifier import predict
+from .cascade import PipelineModels, gate, gated_labels, spans_from_labels
 from .corpus import LabeledSentence, SentenceLabel, TokenLabel
 from .crf import sentence_potentials, viterbi_from_table
-from .embeddings import embed_sentence
 
 
 @dataclass(frozen=True)
@@ -65,14 +63,10 @@ def _tally(outcomes: Sequence[str]) -> ConfusionCounts:
 def evaluate_stage1(
     models: PipelineModels, test: Sequence[LabeledSentence]
 ) -> EvalReport:
-    """Sentence-level report with ContainsTech as the positive class."""
+    """Sentence-level report of the cascade's gate, ContainsTech positive."""
     outcomes = [
-        _count(
-            labeled.sentence_label is SentenceLabel.CONTAINS_TECH,
-            predict(models.classifier, embed_sentence(models.embedding, labeled.sentence)).label
-            is SentenceLabel.CONTAINS_TECH,
-        )
-        for labeled in test
+        _count(s.sentence_label is SentenceLabel.CONTAINS_TECH, gate(models, s.sentence))
+        for s in test
     ]
     return f_score(_tally(outcomes), mode="sentence")
 

@@ -12,6 +12,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .corpus import Sentence
+from .errors import ConfigError
 
 
 class CoarsePosTag(Enum):
@@ -28,6 +29,14 @@ class FeatureConfig:
     ngram_min: int = 2
     ngram_max: int = 4
     window: int = 4  # context words on each side, current token excluded
+
+    def validate(self) -> None:
+        if self.ngram_min < 1:
+            raise ConfigError(f"ngram_min must be >= 1, got {self.ngram_min}")
+        if self.ngram_max < self.ngram_min:
+            raise ConfigError(f"ngram_max must be >= ngram_min, got {self.ngram_max}")
+        if self.window < 0:
+            raise ConfigError(f"window must be non-negative, got {self.window}")
 
 
 DEFAULT_FEATURES = FeatureConfig()

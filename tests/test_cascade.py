@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from termex.cascade import (
     PipelineModels,
     PipelineStats,
     extract_from_document,
     extract_sentence,
+    gate,
     spans_from_labels,
+    stage1_logits,
 )
-from termex.classifier import ClassifierModel
-from termex.corpus import Document, Token, TokenLabel, split_document
-from termex.embeddings import EmbeddingModel, Vocabulary
+from termex.classifier import ClassifierModel, _forward, loss_and_gradients, predict
+from termex.corpus import Document, Sentence, SentenceLabel, Token, TokenLabel, split_document
+from termex.embeddings import EmbeddingModel, Vocabulary, embed_sentence
 from termex.errors import LengthMismatchError, ModelMismatchError
 
 T, O = TokenLabel.T, TokenLabel.O
@@ -149,7 +154,7 @@ class TestZeroEvidence:
     @staticmethod
     def counts(stats):
         return (stats.sentences, stats.stage2_invocations, stats.zero_evidence,
-                stats.punctuation_only)
+                stats.punctuation_only, stats.tokens, stats.in_vocab_tokens)
 
     def assert_never_reaches_crf(self, models, monkeypatch, text):
         def no_crf(*args):
@@ -170,38 +175,41 @@ class TestZeroEvidence:
         sentence, stats = self.assert_never_reaches_crf(eager_models, monkeypatch, text)
         vocab = eager_models.embedding.vocab
         assert not any(word in vocab for word in sentence.folded_texts())
-        assert self.counts(stats) == (1, 0, 1, 0)
+        assert self.counts(stats) == (1, 0, 1, 0, 3, 0)
 
-    @pytest.mark.parametrize("text", [".", ". , .", "Zqxv, wqpz.", "Zqxv Wqpz Jxvk."])
+    @pytest.mark.parametrize(
+        "text, tokens, in_vocab_tokens",
+        [(".", 1, 1), (". , .", 3, 2), ("Zqxv, wqpz.", 4, 1), ("Zqxv Wqpz Jxvk.", 4, 1)],
+    )
     def test_punctuation_only_evidence_never_reaches_crf(
-        self, eager_models, monkeypatch, text
+        self, eager_models, monkeypatch, text, tokens, in_vocab_tokens
     ):
         sentence, stats = self.assert_never_reaches_crf(eager_models, monkeypatch, text)
         vocab = eager_models.embedding.vocab
         in_vocab = {word for word in sentence.folded_texts() if word in vocab}
         assert in_vocab and in_vocab <= {".", ","}
-        assert self.counts(stats) == (1, 0, 0, 1)
+        assert self.counts(stats) == (1, 0, 0, 1, tokens, in_vocab_tokens)
 
     def test_in_vocabulary_sentence_still_reaches_crf(self, eager_models):
         stats = PipelineStats()
         doc = Document(id="d", text="Teams deploy Kubernetes widely. Zqxv Wqpz Jxvk")
         extractions = extract_from_document(doc, eager_models, stats)
         assert [e.sentence_positive for e in extractions] == [True, False]
-        assert self.counts(stats) == (2, 1, 1, 0)
+        assert self.counts(stats) == (2, 1, 1, 0, 8, 5)
 
     def test_punctuation_plus_one_word_reaches_crf(self, eager_models):
         stats = PipelineStats()
         doc = Document(id="d", text="Zqxv, wqpz. Zqxv, wqpz Kubernetes.")
         extractions = extract_from_document(doc, eager_models, stats)
         assert [e.sentence_positive for e in extractions] == [False, True]
-        assert self.counts(stats) == (2, 1, 0, 1)
+        assert self.counts(stats) == (2, 1, 0, 1, 9, 3)
 
     def test_symbols_are_evidence(self, symbol_models):
         stats = PipelineStats()
         doc = Document(id="d", text="Zqxv node.js wqpz. Pay $ 5. Zqxv, wqpz.")
         extractions = extract_from_document(doc, symbol_models, stats)
         assert [e.sentence_positive for e in extractions] == [True, True, False]
-        assert self.counts(stats) == (3, 2, 0, 1)
+        assert self.counts(stats) == (3, 2, 0, 1, 12, 6)
 
     @pytest.mark.parametrize("text", ["", "   \n\t  \n"])
     def test_empty_document_yields_nothing(self, small_run, text):
@@ -209,3 +217,129 @@ class TestZeroEvidence:
         doc = Document(id="e", text=text)
         assert extract_from_document(doc, small_run.models, stats) == []
         assert stats.sentences == 0
+
+
+
+# Words for the gate oracle: PUNCT, SYM and LOWER, then the oracle's own.
+GATE_WORDS = [".", ",", "$", "node.js"] + [f"w{i}" for i in range(6)]
+
+
+def linear_classifier(output_weights, bias):
+    d = len(output_weights[0])
+    return ClassifierModel(np.eye(d), np.array(output_weights, float), np.array(bias, float))
+
+
+def gate_models(vectors, classifier, words=GATE_WORDS):
+    vectors = np.asarray(vectors, float)
+    vocab = Vocabulary(list(words), np.ones(len(words), dtype=np.int64), min_count=1)
+    embedding = EmbeddingModel(vectors.shape[1], vocab, vectors, np.zeros_like(vectors))
+    return PipelineModels(embedding, classifier, crf=None)
+
+
+def sentence_of(words):
+    return Sentence("g", 0, make_tokens(words))
+
+
+def in_vocab_rows(models, sentence):
+    vocab = models.embedding.vocab
+    return [vocab.index[w] for w in sentence.folded_texts() if w in vocab]
+
+
+def reference_logits(models, sentence, rows):
+    """classifier._forward on embed_sentence's mean vector, and each logit's
+    tolerance: 1e-12 * (1 + the same sum taken over absolute values)."""
+    c = models.classifier
+    _, logits = _forward(c, embed_sentence(models.embedding, sentence).values[None, :])
+    magnitude = np.abs(models.embedding.input_vectors[rows]).mean(axis=0)
+    if c.use_hidden:
+        magnitude = magnitude @ np.abs(c.projection).T
+    magnitude = magnitude @ np.abs(c.output_weights).T + np.abs(c.bias)
+    return logits[0], 1e-12 * (1 + magnitude)
+
+
+@st.composite
+def gate_cases(draw):
+    """Random vectors, a random classifier (with, when use_hidden, an h x d
+    projection, h == d or not, trained by a few SGD steps) and a sentence of
+    vocabulary words, repeats and OOV words."""
+    d = draw(st.integers(1, 6))
+    use_hidden = draw(st.booleans())
+    h = draw(st.integers(1, 6)) if use_hidden else d
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    classifier = ClassifierModel(
+        projection=rng.normal(size=(h, d)) if use_hidden else np.eye(d),
+        output_weights=rng.normal(size=(2, h)),
+        bias=rng.normal(size=2),
+        use_hidden=use_hidden,
+    )
+    if use_hidden:
+        xs, ys = rng.normal(size=(8, d)), rng.integers(0, 2, size=8)
+        for _ in range(3):
+            _, grads = loss_and_gradients(classifier, xs, ys)
+            for name, grad in grads.items():
+                getattr(classifier, name)[...] -= 0.5 * grad
+    vectors = rng.normal(scale=scale, size=(len(GATE_WORDS), d))
+    words = draw(st.lists(st.sampled_from(GATE_WORDS + ["zqxv", "W1", "NODE.JS"]), max_size=12))
+    return gate_models(vectors, classifier), sentence_of(words)
+
+
+def reference_positive(models, sentence):
+    vector = embed_sentence(models.embedding, sentence)
+    return predict(models.classifier, vector).label is SentenceLabel.CONTAINS_TECH
+
+
+class TestGate:
+    """cascade.gate against the vector-level reference: predict on
+    embed_sentence, with the logits of classifier._forward."""
+
+    @given(gate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_logits_and_decision_match_the_reference(self, case):
+        models, sentence = case
+        rows = in_vocab_rows(models, sentence)
+        decision = gate(models, sentence)
+        if not rows or models.embedding.vocab.punctuation.issuperset(rows):
+            assert decision is False is reference_positive(models, sentence)
+            return
+        expected, tolerance = reference_logits(models, sentence, rows)
+        logits = stage1_logits(models, rows)
+        assert np.all(np.abs(np.array(logits) - expected) <= tolerance)
+        if abs(expected[0] - expected[1]) > tolerance.sum():
+            assert decision is reference_positive(models, sentence)
+
+    def test_repeated_words_weigh_by_occurrence(self):
+        # "the" leans NoTech and "x" ContainsTech; the mean counts repeats.
+        classifier = linear_classifier(np.eye(2), [0.0, 0.0])
+        models = gate_models([[0.0, 1.0], [1.5, 0.0]], classifier, words=["the", "x"])
+        for words, expected in [(["the", "x"], True), (["the", "the", "the", "x"], False)]:
+            sentence = sentence_of(words)
+            assert gate(models, sentence) is expected is reference_positive(models, sentence)
+
+    def test_exact_tie_is_no_tech(self):
+        classifier = linear_classifier([[1.0, -2.0, 0.5], [1.0, -2.0, 0.5]], [0.25, 0.25])
+        vectors = np.random.default_rng(1).normal(size=(len(GATE_WORDS), 3))
+        models = gate_models(vectors, classifier)
+        sentence = sentence_of(["w0", "w3", "w3"])
+        t, o = stage1_logits(models, in_vocab_rows(models, sentence))
+        assert t == o
+        assert gate(models, sentence) is False is reference_positive(models, sentence)
+
+    @pytest.mark.parametrize(
+        "words, expected",
+        [
+            ([], False),
+            (["zqxv", "wqpz"], False),
+            (["."], False),
+            ([".", ",", "zqxv", "."], False),
+            (["$"], True),
+            (["zqxv", "Node.js", "."], True),
+            ([".", "w2"], True),
+        ],
+    )
+    def test_evidence_rules(self, words, expected):
+        # The bias calls every sentence with evidence positive.
+        eager = linear_classifier(np.zeros((2, 2)), [3.0, -3.0])
+        models = gate_models(np.ones((len(GATE_WORDS), 2)), eager)
+        sentence = sentence_of(words)
+        assert gate(models, sentence) is expected is reference_positive(models, sentence)

@@ -320,6 +320,21 @@ class TestPipeline:
             "pipeline", "--config", fast_ini, "--out", str(tmp_path / "r"),
         ]) == 2
 
+    def test_bad_feature_config_exits_2_without_traceback(
+        self, gazetteer_file, fast_ini, tmp_path
+    ):
+        with open(fast_ini, "a", encoding="utf-8") as fh:
+            fh.write("ngram_min = 0\n")  # the [crf] section is last
+        src = str(Path(termex.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "termex.cli", "pipeline", "--config", fast_ini,
+             "--gazetteer", gazetteer_file, "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert "ngram_min must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_artifacts_identical_across_processes(
         self, gazetteer_file, fast_ini, tmp_path
     ):

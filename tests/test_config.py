@@ -1,8 +1,12 @@
 import pytest
 
+from termex.classifier import ClassifierConfig
 from termex.cli import main
 from termex.config import load_run_config
+from termex.crf import CrfConfig
+from termex.embeddings import SkipgramConfig
 from termex.errors import ConfigError
+from termex.features import FeatureConfig
 
 
 def write(tmp_path, text):
@@ -23,6 +27,21 @@ class TestLoadRunConfig:
         assert cfg.ratios == (0.8, 0.1, 0.1)
         assert cfg.embeddings.learning_rate == 0.5
         assert cfg.crf.feature_config.window == 2
+
+    def test_every_stage_key_reaches_its_field(self, tmp_path):
+        cfg = load_run_config(write(
+            tmp_path,
+            "[main]\nseed = 6\n"
+            "[embeddings]\ndim = 7\nwindow = 3\nnegatives = 2\nepochs = 4\n"
+            "learning_rate = 0.5\nmin_count = 2\n"
+            "[classifier]\nepochs = 9\nlearning_rate = 0.25\nl2 = 0.125\n"
+            "use_hidden = on\nbatch_size = 8\n"
+            "[crf]\nepochs = 11\nl2 = 2.5\nfeature_min_count = 3\n"
+            "ngram_min = 1\nngram_max = 6\nwindow = 0\n",
+        ))
+        assert cfg.embeddings == SkipgramConfig(7, 3, 2, 4, 0.5, 2, seed=6)
+        assert cfg.classifier == ClassifierConfig(9, 0.25, 0.125, 6, True, 8)
+        assert cfg.crf == CrfConfig(11, 2.5, 3, FeatureConfig(1, 6, 0))
 
     def test_unknown_key_names_section_and_key(self, tmp_path):
         path = write(tmp_path, "[embeddings]\nlearning_rat = 9\n")

@@ -819,6 +819,19 @@ class TestTraining:
             assert evaluations[0] >= 2
             assert all(b > a for a, b in zip(evaluations, evaluations[1:]))
 
+    @pytest.mark.parametrize(
+        "features", [FeatureConfig(0, 2, 1), FeatureConfig(5, 2, 1), FeatureConfig(2, 4, -3)]
+    )
+    def test_bad_feature_config_rejected(self, features):
+        with pytest.raises(ConfigError):
+            features.validate()
+        with pytest.raises(ConfigError):
+            CrfConfig(feature_config=features).validate()
+
+    def test_edge_feature_configs_validate(self):
+        for features in (FeatureConfig(1, 1, 0), FeatureConfig(3, 3, 1), *ORACLE_CONFIGS):
+            CrfConfig(feature_config=features).validate()
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_crf([], CrfConfig())

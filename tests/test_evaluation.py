@@ -93,6 +93,22 @@ class TestStageEvaluations:
         with pytest.raises(ValueError):
             evaluate_stage2(small_run.models, negatives[:1])
 
+    def test_stage1_matches_the_vector_level_recount(self, small_run):
+        """evaluate_stage1 decides with cascade.gate; the recount with
+        predict on embed_sentence gives the same confusion counts."""
+        from termex.classifier import predict
+        from termex.embeddings import embed_sentence
+
+        models = small_run.models
+        outcomes = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        for labeled in small_run.split.test:
+            vec = embed_sentence(models.embedding, labeled.sentence)
+            predicted = predict(models.classifier, vec).label is SentenceLabel.CONTAINS_TECH
+            gold = labeled.sentence_label is SentenceLabel.CONTAINS_TECH
+            outcomes[("t" if gold == predicted else "f") + ("p" if predicted else "n")] += 1
+        report = evaluate_stage1(models, small_run.split.test)
+        assert report.counts == ConfusionCounts(**outcomes)
+
     def test_end_to_end_matches_direct_recount(self, small_run):
         """Independent recount: replay the gating by hand per token."""
         from termex.classifier import predict

@@ -15,7 +15,7 @@ from termex.embeddings import (
     load_embeddings,
     save_embeddings,
 )
-from termex.features import FeatureIndex
+from termex.features import FeatureConfig, FeatureIndex
 from termex.errors import ModelFormatError
 
 LOADERS = {
@@ -74,6 +74,19 @@ class TestLoaderChecks:
         save_crf(model, path)
         path.write_bytes(path.read_bytes().replace(b"b=1", b"a=1"))
         with pytest.raises(ModelFormatError, match="repeated"):
+            load_crf(path)
+
+    @pytest.mark.parametrize("features", [FeatureConfig(0, 2, 1), FeatureConfig(5, 2, 1)])
+    def test_bad_crf_feature_config(self, tmp_path, features):
+        model = CrfModel(
+            feature_index=FeatureIndex.from_strings(["a=1"]),
+            emission_weights=np.zeros((1, 2)),
+            transition_weights=np.zeros((3, 2)),
+            feature_config=features,
+        )
+        path = tmp_path / "crf.bin"
+        save_crf(model, path)
+        with pytest.raises(ModelFormatError, match="feature config"):
             load_crf(path)
 
     def embeddings_file(self, tmp_path, counts):
