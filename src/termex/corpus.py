@@ -108,7 +108,7 @@ class DatasetSplit:
 
 
 _WORD_RE = re.compile(r"\S+")
-_TERMINATORS = frozenset(".!?")
+_TERMINATOR_RE = re.compile(r"[.!?]")
 _ABBREVIATIONS = frozenset({"e.g.", "i.e.", "etc."})
 
 
@@ -121,7 +121,11 @@ def _char_tokens(text: str) -> list[tuple[str, int, int]]:
     """Tokenize with character offsets; byte conversion happens later."""
     out: list[tuple[str, int, int]] = []
     for m in _WORD_RE.finditer(text):
-        a, b = m.start(), m.end()
+        a, b = m.span()
+        # No alphanumeric code point is in a P or S category: nothing to peel.
+        if text[a].isalnum() and text[b - 1].isalnum():
+            out.append((m.group(), a, b))
+            continue
         i = a
         while i < b and _is_separable(text[i]):
             out.append((text[i], i, i + 1))
@@ -176,9 +180,8 @@ def _sentence_boundaries(text: str) -> list[int]:
     """Exclusive character offsets where sentences end."""
     n = len(text)
     bounds: list[int] = []
-    for k, ch in enumerate(text):
-        if ch not in _TERMINATORS:
-            continue
+    for m in _TERMINATOR_RE.finditer(text):
+        k, ch = m.start(), m.group()
         j = k + 1
         if j < n and not text[j].isspace():
             continue  # internal dot, e.g. "3.14" mid-token never reaches here

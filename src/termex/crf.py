@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -14,8 +15,9 @@ import numpy as np
 from . import modelio
 from .corpus import Sentence, TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
-from .features import FeatureConfig, FeatureIndex, SparseFeatures, admit, neighbour_features
-from .features import ngram_key, raw_ngrams, window_slices, word_parts
+from .features import BOS_WORD, EOS_WORD, LW, NG, P0, PSEQ, RW, SH0, SHSEQ, TEMPLATES, W0, W_AFTER
+from .features import W_BEFORE, FeatureConfig, FeatureIndex, SparseFeatures, _tag_token, admit
+from .features import raw_ngrams, triples, window_slices, word_shape
 
 MAGIC = b"TXCRF"
 VERSION = 1
@@ -113,46 +115,67 @@ def potentials(
 
 
 def _text_sums(model: CrfModel, text: str) -> tuple:
-    """A token text's share of node scores: its fold, tag, shape, W-1 and
-    W+1 strings; the summed weights of the features it fires itself; and
-    the weight pairs (None if unknown) of the LW and RW features it fires at
-    its neighbours. Its raw n-grams are looked up by key, and each known one
-    adds once, in first-occurrence order, as token_parts' NG strings do."""
-    weights, grams = model._sums[0]
+    """A token text's share of node scores: its fold, tag and shape; the
+    weight pairs (None if unknown) of the W-1 and W+1 features it fires at
+    its neighbours; the summed weights of the features it fires itself (W0,
+    P0, SH0, then each known n-gram once, in first-occurrence order, as
+    token_parts' NG strings add); and the weight pairs of its LW and RW
+    features. Every lookup is by raw value in the template's own dict."""
+    weights = model._sums[0]
     config = model.feature_config
-    word, tag, shape, own, before, after, lw, rw = word_parts(text)
-    walk = raw_ngrams(text, config.ngram_min, config.ngram_max)
+    word = text.casefold()
+    tag, shape = _tag_token(text).value, word_shape(text)
+    grams, walk = weights[NG], raw_ngrams(text, config.ngram_min, config.ngram_max)
     hits = dict.fromkeys(filter(grams.__contains__, walk))
+    own = (weights[W0].get(word), weights[P0].get(tag), weights[SH0].get(shape))
     local_t = local_o = 0.0
-    for t, o in (*filter(None, map(weights.get, own)), *map(grams.__getitem__, hits)):
+    for t, o in (*filter(None, own), *map(grams.__getitem__, hits)):
         local_t, local_o = local_t + t, local_o + o
-    return word, tag, shape, before, after, local_t, local_o, weights.get(lw), weights.get(rw)
+    return (word, tag, shape, weights[W_BEFORE].get(word), weights[W_AFTER].get(word),
+            local_t, local_o, weights[LW].get(word), weights[RW].get(word))
+
+
+def _window_weights(words: Sequence[str], weights: Sequence, known_at: list[int], span: slice):
+    """The weights at the positions of known_at (sorted) that lie in span,
+    each distinct word's once, first occurrence first: a fold repeated
+    inside a window fires its LW or RW feature once."""
+    inside = known_at[bisect_left(known_at, span.start) : bisect_left(known_at, span.stop)]
+    return {words[k]: weights[k] for k in inside}.values() if inside else ()
 
 
 def sentence_potentials(model: CrfModel, sentence: Sentence) -> PotentialTable:
     """The inference path to potentials(model, sentence_features(sentence)),
     equal within rounding: node scores add per-text weight sums (_text_sums)
-    kept on the model under the second-sighting rule of features.admit."""
+    kept on the model under the second-sighting rule of features.admit.
+    A position adds to its text's local sums its known W-1, W+1, PSEQ and
+    SHSEQ weights, then those of its window's known LW and RW folds."""
     texts = sentence.token_texts()
     if not texts:
         raise ValueError("cannot build potentials for an empty sentence")
     if model._sums is None:
-        rows = map(tuple, model.emission_weights.tolist())
-        weights = dict(zip(model.feature_index.strings(), rows))
-        grams = {key: row for f, row in weights.items() if (key := ngram_key(f)) is not None}
-        model._sums = (weights, grams), {}, set()
-    (weights, _), table, seen = model._sums
+        # One weight dict per template prefix, keyed by the raw value after
+        # it; a string of no template (none in a trained model) is dropped.
+        weights: dict[str, dict] = {prefix: {} for prefix in TEMPLATES}
+        for feature, row in zip(model.feature_index.strings(), model.emission_weights.tolist()):
+            name, _, value = feature.partition("=")
+            weights.get(name + "=", {})[value] = tuple(row)
+        model._sums = weights, {}, set()
+    weights, table, seen = model._sums
     words, tags, shapes, before, after, local_t, local_o, left, right = zip(
         *[table.get(text) or admit(table, seen, text, _text_sums(model, text)) for text in texts]
     )
-    node = []
-    neighbours = neighbour_features(before, after, tags, shapes)
-    for i, (t, o, strings) in enumerate(zip(local_t, local_o, neighbours)):
-        left_of, right_of = window_slices(i, model.feature_config.window)
-        # A fold repeated inside a window fires its LW or RW feature once.
-        context = (*dict(zip(words[left_of], left[left_of])).values(),
-                   *dict(zip(words[right_of], right[right_of])).values())
-        for a, b in filter(None, (*map(weights.get, strings), *context)):
+    fired = zip(
+        (weights[W_BEFORE].get(BOS_WORD), *before), (*after[1:], weights[W_AFTER].get(EOS_WORD)),
+        map(weights[PSEQ].get, triples(tags)), map(weights[SHSEQ].get, triples(shapes)),
+    )
+    left_at = [k for k, w in enumerate(left) if w is not None]
+    right_at = [k for k, w in enumerate(right) if w is not None]
+    window, node = model.feature_config.window, []
+    for i, (t, o, neighbours) in enumerate(zip(local_t, local_o, fired)):
+        left_of, right_of = window_slices(i, window)
+        context = (*_window_weights(words, left, left_at, left_of),
+                   *_window_weights(words, right, right_at, right_of))
+        for a, b in (*filter(None, neighbours), *context):
             t, o = t + a, o + b
         node.append((t, o))
     start, steps = _clique_scores(model.transition_weights, np.array(node))

@@ -9,7 +9,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Sentence
 from .errors import ConfigError
@@ -49,6 +49,8 @@ class SparseFeatures:
 
 def word_shape(text: str) -> str:
     """Orthographic shape: X/x/d/s character classes with runs collapsed."""
+    if text.isascii() and text.isalpha() and (text.islower() or text.isupper() or text.istitle()):
+        return "x" if text.islower() else "X" if text.isupper() else "Xx"
     out: list[str] = []
     for ch in text:
         if ch.isupper():
@@ -64,26 +66,30 @@ def word_shape(text: str) -> str:
     return "".join(out)
 
 
-def raw_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
+@functools.lru_cache(maxsize=256)
+def _gram_slices(length: int, n_min: int, n_max: int) -> tuple[slice, ...]:
+    sizes = range(n_min, min(n_max, length) + 1)
+    return tuple(slice(at, at + n) for n in sizes for at in range(length - n + 1))
+
+
+def raw_ngrams(text: str, n_min: int, n_max: int) -> Iterator[str]:
     """Each contiguous n-gram of the boundary-marked, lowercased token,
-    repeats included: the NG features' keys without their prefix."""
+    shortest first, repeats included: the NG features' keys without their
+    prefix."""
     marked = "<" + text.lower() + ">"
-    return [
-        marked[at : at + n]
-        for n in range(n_min, min(n_max, len(marked)) + 1)
-        for at in range(len(marked) - n + 1)
-    ]
-
-
-def ngram_key(feature: str) -> str | None:
-    """The raw n-gram an NG feature string names; None for other templates."""
-    return feature[3:] if feature.startswith("NG=") else None
+    return map(marked.__getitem__, _gram_slices(len(marked), n_min, n_max))
 
 
 def _tag_token(text: str) -> CoarsePosTag:
+    if text.isascii() and text.isalpha():
+        if text.islower():
+            return CoarsePosTag.LOWER
+        return CoarsePosTag.CAP if text.istitle() else CoarsePosTag.MIXED
     if text.replace(",", "").replace(".", "").isdigit():
         return CoarsePosTag.NUM
-    if all(unicodedata.category(ch).startswith("P") for ch in text):
+    # No alphanumeric code point is punctuation, so only a text that does
+    # not start with one needs the category scan.
+    if not text[:1].isalnum() and all(unicodedata.category(ch).startswith("P") for ch in text):
         return CoarsePosTag.PUNCT
     if text[0].isupper() and (len(text) == 1 or text[1:].islower() and text[1:].isalpha()):
         return CoarsePosTag.CAP
@@ -125,12 +131,14 @@ def _tables(ngram_min: int, ngram_max: int) -> tuple[dict[str, tuple], set[str]]
     return {}, set()
 
 
-def word_parts(text: str) -> tuple:
-    """token_parts without the n-grams: its own features are W0, P0 and SH0."""
-    word = text.casefold()
-    tag, shape = _tag_token(text).value, word_shape(text)
-    own = (f"W0={word}", f"P0={tag}", f"SH0={shape}")
-    return word, tag, shape, own, "W-1=" + word, "W+1=" + word, "LW=" + word, "RW=" + word
+# Every feature string is a template prefix and a raw value: a fold (W0,
+# W-1, W+1, LW, RW), a tag (P0), a shape (SH0), an n-gram (NG) or a triple
+# of tags or shapes (PSEQ, SHSEQ). W-1 and W+1 take <BOS> and <EOS> past the
+# sentence's ends, and the triples BOS and EOS.
+TEMPLATES = W0, P0, SH0, NG, W_BEFORE, W_AFTER, PSEQ, SHSEQ, LW, RW = (
+    "W0=", "P0=", "SH0=", "NG=", "W-1=", "W+1=", "PSEQ=", "SHSEQ=", "LW=", "RW="
+)
+BOS_WORD, EOS_WORD = "<BOS>", "<EOS>"
 
 
 def token_parts(text: str, config: FeatureConfig) -> tuple:
@@ -138,21 +146,18 @@ def token_parts(text: str, config: FeatureConfig) -> tuple:
     case-folded word, the coarse tag and the shape; the features the token
     fires itself (W0, P0, SH0 and its distinct NG strings, in order); and the
     W-1, W+1, LW and RW strings it fires at its neighbours."""
-    word, tag, shape, own, *neighbours = word_parts(text)
-    grams = dict.fromkeys(["NG=" + g for g in raw_ngrams(text, config.ngram_min, config.ngram_max)])
-    return word, tag, shape, (*own, *grams), *neighbours
+    word = text.casefold()
+    tag, shape = _tag_token(text).value, word_shape(text)
+    grams = dict.fromkeys([NG + g for g in raw_ngrams(text, config.ngram_min, config.ngram_max)])
+    own = (W0 + word, P0 + tag, SH0 + shape, *grams)
+    return word, tag, shape, own, W_BEFORE + word, W_AFTER + word, LW + word, RW + word
 
 
-def neighbour_features(
-    before: Sequence[str], after: Sequence[str], tags: Sequence[str], shapes: Sequence[str]
-) -> list[tuple[str, str, str, str]]:
-    """The W-1, W+1, PSEQ and SHSEQ strings at every position, from each
-    token's W-1 and W+1 strings, tag and shape (see token_parts), with
-    <BOS> and BOS before the first token, <EOS> and EOS after the last."""
-    tags3, shapes3 = ("BOS", *tags, "EOS"), ("BOS", *shapes, "EOS")
-    pseq = [f"PSEQ={a}_{b}_{c}" for a, b, c in zip(tags3, tags, tags3[2:])]
-    shseq = [f"SHSEQ={a}_{b}_{c}" for a, b, c in zip(shapes3, shapes, shapes3[2:])]
-    return list(zip(("W-1=<BOS>", *before), (*after[1:], "W+1=<EOS>"), pseq, shseq))
+def triples(values: Sequence[str]) -> list[str]:
+    """Each position's value joined to its neighbours' (BOS and EOS past the
+    ends): the raw values of PSEQ over tags and SHSEQ over shapes."""
+    padded = ("BOS", *values, "EOS")
+    return [f"{a}_{b}_{c}" for a, b, c in zip(padded, values, padded[2:])]
 
 
 def window_slices(i: int, window: int) -> tuple[slice, slice]:
@@ -185,11 +190,14 @@ def sentence_features(
     _, tags, shapes, own, before, after, left, right = zip(
         *[table.get(text) or admit(table, seen, text, token_parts(text, config)) for text in texts]
     )
+    neighbours = zip(
+        (W_BEFORE + BOS_WORD, *before), (*after[1:], W_AFTER + EOS_WORD),
+        [PSEQ + v for v in triples(tags)], [SHSEQ + v for v in triples(shapes)],
+    )
     out = []
-    for i, neighbours in enumerate(neighbour_features(before, after, tags, shapes)):
+    for i, fired in enumerate(neighbours):
         left_of, right_of = window_slices(i, config.window)
-        fired = (*own[i], *neighbours, *left[left_of], *right[right_of])
-        out.append(SparseFeatures(frozenset(fired)))
+        out.append(SparseFeatures(frozenset((*own[i], *fired, *left[left_of], *right[right_of]))))
     return out
 
 

@@ -80,6 +80,8 @@ def run_pipeline(
     """Synthesize or load a corpus, annotate, balance, split, train the three
     models, evaluate, and persist everything under the working directory."""
     say = log or (lambda _msg: None)
+    for stage in (cfg.embeddings, cfg.classifier, cfg.synth(), cfg.crf):
+        stage.validate()  # a bad value fails before any work is done
     out = Path(workdir if workdir is not None else cfg.workdir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -334,6 +334,9 @@ class TestPipeline:
         assert proc.returncode == 2
         assert "ngram_min must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # Every stage's config is checked before any model is trained.
+        for name in ("embeddings.bin", "classifier.bin"):
+            assert not (tmp_path / "run" / name).exists()
 
     def test_artifacts_identical_across_processes(
         self, gazetteer_file, fast_ini, tmp_path

@@ -1,8 +1,12 @@
+import re
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termex.corpus import (
+    Document,
     LabeledSentence,
     Sentence,
     SentenceLabel,
@@ -12,6 +16,7 @@ from termex.corpus import (
     balance,
     load_gazetteer,
     split_dataset,
+    split_document,
     split_sentences,
     tokenize,
 )
@@ -79,6 +84,105 @@ class TestTokenize:
     def test_no_whitespace_inside_tokens(self, text):
         for tok in tokenize(text):
             assert not any(ch.isspace() for ch in tok.text)
+
+
+def reference_split(text, doc_id=""):
+    """split_sentences written as a per-character loop: every chunk's edges
+    go through the category test, and every character is checked for a
+    terminator. The splitter's fast paths must give the same sentences."""
+    def separable(ch):
+        return unicodedata.category(ch)[0] in ("P", "S")
+
+    chars = []
+    for m in re.finditer(r"\S+", text):
+        i, j = m.start(), m.end()
+        while i < j and separable(text[i]):
+            chars.append((text[i], i, i + 1))
+            i += 1
+        trail = []
+        while j > i and separable(text[j - 1]):
+            j -= 1
+            trail.append((text[j], j, j + 1))
+        if i < j:
+            chars.append((text[i:j], i, j))
+        chars.extend(reversed(trail))
+
+    n, bounds = len(text), []
+    for k, ch in enumerate(text):
+        if ch not in ".!?":
+            continue
+        j = k + 1
+        if j < n and not text[j].isspace():
+            continue
+        while j < n and text[j].isspace():
+            j += 1
+        if j < n and not text[j].isupper():
+            continue
+        if ch == ".":
+            start = k
+            while start > 0 and not text[start - 1].isspace():
+                start -= 1
+            chunk = text[start : k + 1]
+            if chunk.casefold() in {"e.g.", "i.e.", "etc."}:
+                continue
+            if len(chunk) == 2 and chunk[0].isalpha() and chunk[0].isupper():
+                continue
+        bounds.append(k + 1)
+
+    offsets = [len(text[:k].encode("utf-8")) for k in range(n + 1)]
+    groups, current = [], []
+    for tok in chars:
+        if current and any(current[-1][1] < b <= tok[1] for b in bounds):
+            groups.append(current)
+            current = []
+        current.append(tok)
+    if current:
+        groups.append(current)
+    return [
+        Sentence(doc_id, idx, tuple(Token(t, offsets[a], offsets[b]) for t, a, b in group))
+        for idx, group in enumerate(groups)
+    ]
+
+
+# Each of the splitter's named cases, and texts that mix them.
+SPLIT_TEXTS = [
+    "Use ETC. Next one.",
+    "Tools, e.g. Hive. Then more.",
+    "J. Smith wrote it. Nobody read it.",
+    "Pi is 3.14 today. Yes.",
+    "Wait... What? No!",
+    '"PyTorch," he said. "Keras" too.',
+    "Read theregister.co.uk daily. Or not.",
+    "Straße über İstanbul. Émile naïve. 中文 测试。 Done.",
+    "€5 (approx.) — «quoted» ¿Qué? ¡Sí! 2,019 items. 12%.",
+    "",
+    "   ",
+    ". . .",
+]
+split_alphabet = st.sampled_from(
+    list("aZ09 .!?,;:\"'()-+€$%«»…—¿¡") + ["ß", "É", "İ", "中", "٣", "²", "\n", "\u00a0"]
+)
+
+
+class TestSplitterFastPaths:
+    @pytest.mark.parametrize("text", SPLIT_TEXTS)
+    def test_named_texts(self, text):
+        assert split_sentences(text, "d") == reference_split(text, "d")
+        assert split_document(Document("d", text)) == reference_split(text, "d")
+
+    @given(st.text(alphabet=split_alphabet, max_size=80) | st.text(max_size=60))
+    @settings(max_examples=500)
+    def test_equal_to_the_per_character_loop(self, text):
+        assert split_sentences(text, "d") == reference_split(text, "d")
+
+    def test_no_alphanumeric_code_point_is_punctuation_or_symbol(self):
+        """Why a chunk with alphanumeric edges is kept whole: the edges are
+        never peeled, because no such character is in a P or S category."""
+        both = [
+            c for c in range(0x110000)
+            if chr(c).isalnum() and unicodedata.category(chr(c))[0] in "PS"
+        ]
+        assert both == []
 
 
 class TestSplitSentences:

@@ -33,8 +33,10 @@ from termex.features import (
     FeatureConfig,
     FeatureIndex,
     SparseFeatures,
+    _tag_token,
     sentence_features,
     token_parts,
+    word_shape,
 )
 from tests.conftest import gradient_ascent_reference
 
@@ -291,6 +293,112 @@ class TestSentencePotentials:
         tables = [model._sums[1] for model in models]
         assert all(set(table) == {"Apache", "Hive", "uses"} for table in tables)
         assert len({id(entry) for table in tables for entry in table.values()}) == 9
+
+
+def ordered_potentials(model, words):
+    """sentence_potentials' documented float order, written plainly over
+    feature strings: at each position, from 0.0, add the known weights of
+    W0, P0, SH0 and each distinct n-gram (first occurrence first), then W-1,
+    W+1, PSEQ and SHSEQ, then LW for each distinct fold of the left window
+    and RW for each of the right one, both in first-occurrence order."""
+    weights = dict(zip(model.feature_index.strings(), model.emission_weights.tolist()))
+    config, n = model.feature_config, len(words)
+    folds = [w.casefold() for w in words]
+    tags = ["BOS", *(_tag_token(w).value for w in words), "EOS"]
+    shapes = ["BOS", *map(word_shape, words), "EOS"]
+    node = np.empty((n, 2))
+    for i, word in enumerate(words):
+        marked = "<" + word.lower() + ">"
+        grams = [marked[at : at + k] for k in range(config.ngram_min, min(config.ngram_max, len(marked)) + 1)
+                 for at in range(len(marked) - k + 1)]
+        left = folds[max(0, i - config.window) : i]
+        right = folds[i + 1 : i + 1 + config.window]
+        strings = [
+            f"W0={folds[i]}", f"P0={tags[i + 1]}", f"SH0={shapes[i + 1]}",
+            *(f"NG={g}" for g in dict.fromkeys(grams)),
+            f"W-1={folds[i - 1] if i > 0 else '<BOS>'}",
+            f"W+1={folds[i + 1] if i + 1 < n else '<EOS>'}",
+            f"PSEQ={tags[i]}_{tags[i + 1]}_{tags[i + 2]}",
+            f"SHSEQ={shapes[i]}_{shapes[i + 1]}_{shapes[i + 2]}",
+            *(f"LW={f}" for f in dict.fromkeys(left)),
+            *(f"RW={f}" for f in dict.fromkeys(right)),
+        ]
+        t = o = 0.0
+        for feature in strings:
+            if feature in weights:
+                t, o = t + weights[feature][0], o + weights[feature][1]
+        node[i] = t, o
+    transition = model.transition_weights
+    steps = np.empty((n - 1, 2, 2))
+    for i in range(1, n):
+        for prev in (0, 1):
+            steps[i - 1, prev] = transition[1 + prev] + node[i]
+    return PotentialTable(start=transition[0] + node[0], steps=steps)
+
+
+def context_model(words, config, known, rng):
+    """A model over the sentence's feature strings that knows every string
+    but the LW, RW and W0 features of folds outside the set known."""
+    strings = {f for features in sentence_features(make_sentence(words), config)
+               for f in features.fired}
+    strings = sorted(f for f in strings if not f.startswith(("LW=", "RW=", "W0="))
+                     or f.partition("=")[2] in known)
+    emission = rng.normal(size=(len(strings), 2)) * rng.choice([0.01, 1.0, 100.0], size=(len(strings), 1))
+    return CrfModel(FeatureIndex.from_strings(strings), emission, rng.normal(size=(3, 2)),
+                    feature_config=config)
+
+
+def assert_in_documented_order(model, words):
+    """Bit for bit on the first sighting, the second (admitted) and a hit."""
+    expected = ordered_potentials(model, words)
+    for _ in range(3):
+        assert_same_table(sentence_potentials(model, make_sentence(words)), expected)
+
+
+# Known folds repeated inside one window; known folds exactly window
+# positions away from a position of unknown ones (and just past it).
+EDGE_WORDS = ["k0", "u1", "u2", "mid", "u4", "u5", "k6", "u7", "k0"]
+
+
+class TestDocumentedOrder:
+    @given(words=words_strategy, config=st.sampled_from(ORACLE_CONFIGS),
+           seed=st.integers(0, 2**32 - 1), keep=st.sampled_from([0.2, 0.8, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_on_random_sentences(self, words, config, seed, keep):
+        assert_in_documented_order(text_model([words], config, np.random.default_rng(seed), keep), words)
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=str)
+    @pytest.mark.parametrize("case", sorted(ORACLE_SENTENCES))
+    def test_named_cases(self, case, config):
+        model = text_model(ORACLE_SENTENCES.values(), config, np.random.default_rng(6))
+        assert_in_documented_order(model, ORACLE_SENTENCES[case])
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3, 4])
+    def test_known_folds_at_the_window_edges(self, window):
+        config = FeatureConfig(2, 4, window)
+        model = context_model(EDGE_WORDS, config, {"k0", "k6"}, np.random.default_rng(window))
+        assert_in_documented_order(model, EDGE_WORDS)
+
+    def test_folds_repeated_inside_one_window(self):
+        words = ["Hive", "x", "HIVE", "hive", "y", "Hive", "z", "hIVE"]
+        for window in (0, 2, 4, 7):
+            config = FeatureConfig(2, 4, window)
+            model = context_model(words, config, {"hive", "z"}, np.random.default_rng(window))
+            assert_in_documented_order(model, words)
+
+    def test_all_oov_sentence(self):
+        """No fold of the sentence is known: only the boundary, sequence,
+        tag, shape and n-gram weights that the model happens to know add."""
+        words = ["Zqxv", "wqpz", "12", "!", "Zqxv"]
+        others = text_model([["Other", "words", "99"]], FeatureConfig(), np.random.default_rng(4), 1.0)
+        no_folds = context_model(words, FeatureConfig(), set(), np.random.default_rng(4))
+        for model in (others, no_folds):
+            assert_in_documented_order(model, words)
+
+    def test_long_sentence_of_known_words(self):
+        words = [f"w{k % 37}" if k % 5 else f"W{k % 11}" for k in range(600)]
+        for config in (FeatureConfig(), FeatureConfig(1, 3, 9)):
+            assert_in_documented_order(text_model([words], config, np.random.default_rng(7), 1.0), words)
 
 
 # Unigrams only, default bounds, wide spans, and a floor that "<a>" is under.

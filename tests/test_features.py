@@ -1,4 +1,5 @@
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,54 @@ def is_num_reference(text):
     return any(ch.isdigit() for ch in text) and all(
         ch.isdigit() or ch in ",." for ch in text
     )
+
+
+def word_shape_reference(text):
+    """word_shape as the per-character loop alone, with no fast path."""
+    out = []
+    for ch in text:
+        cls = "X" if ch.isupper() else "x" if ch.islower() else "d" if ch.isdigit() else "s"
+        if not out or out[-1] != cls:
+            out.append(cls)
+    return "".join(out)
+
+
+def tag_reference(text):
+    """_tag_token's rules in order, each checked on every character."""
+    if text.replace(",", "").replace(".", "").isdigit():
+        return CoarsePosTag.NUM
+    if all(unicodedata.category(ch).startswith("P") for ch in text):
+        return CoarsePosTag.PUNCT
+    if text[0].isupper() and (len(text) == 1 or text[1:].islower() and text[1:].isalpha()):
+        return CoarsePosTag.CAP
+    if text.islower() and text.isalpha():
+        return CoarsePosTag.LOWER
+    if text.isalnum():
+        return CoarsePosTag.MIXED
+    return CoarsePosTag.SYM
+
+
+# One to three letters of each case, then texts the fast paths must leave to
+# the general rules: non-ASCII letters (uncased "中" passes str.islower next
+# to "a"; title-case "ǅ" passes str.istitle), punctuation and numbers.
+FAST_PATH_TEXTS = [
+    "a", "A", "Ab", "AB", "aB", "abc", "ABC", "Abc", "aBc", "ABc", "abC",
+    "ß", "İstanbul", "Straße", "中文", "中a", "ǅemal", "node.js", "C++", "2,019",
+]
+
+
+class TestFastPaths:
+    @pytest.mark.parametrize("text", FAST_PATH_TEXTS)
+    def test_named_texts(self, text):
+        assert word_shape(text) == word_shape_reference(text)
+        assert _tag_token(text) is tag_reference(text)
+
+    @given(st.text(min_size=1, max_size=12)
+           | st.text(alphabet="aAzZbBßǅ中.,+-1", min_size=1, max_size=6))
+    @settings(max_examples=500)
+    def test_equal_to_the_general_rules(self, text):
+        assert word_shape(text) == word_shape_reference(text)
+        assert _tag_token(text) is tag_reference(text)
 
 
 def make_sentence(words):
