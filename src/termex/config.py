@@ -11,6 +11,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 from .classifier import ClassifierConfig
+from .corpus import check_ratios
 from .crf import CrfConfig
 from .embeddings import SkipgramConfig
 from .errors import ConfigError
@@ -41,6 +42,12 @@ class RunConfig:
             positive_rate=self.synth_positive_rate,
             sentences_per_doc=self.synth_sentences_per_doc,
         )
+
+    def validate(self) -> None:
+        """Check every stage's config and the split ratios before any work."""
+        for stage in (self.embeddings, self.classifier, self.synth(), self.crf):
+            stage.validate()
+        check_ratios(self.ratios)
 
 
 def default_config_path() -> str | None:
@@ -130,10 +137,10 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     cfg.gazetteer_path = main.get("gazetteer", cfg.gazetteer_path)
     cfg.workdir = main.get("workdir", cfg.workdir)
     if "ratios" in main:
-        parts = [p for p in main["ratios"].replace(",", " ").split() if p]
-        if len(parts) != 3:
-            raise ConfigError(f"ratios needs three numbers, got {main['ratios']!r}")
-        cfg.ratios = tuple(float(p) for p in parts)  # type: ignore[assignment]
+        try:  # RunConfig.validate checks that there are three
+            cfg.ratios = tuple(map(float, main["ratios"].replace(",", " ").split()))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 'ratios': {main['ratios']!r}") from exc
 
     synth = _section(parser, "synth")
     cfg.synth_sentences = _get(synth, "n_sentences", int, cfg.synth_sentences)

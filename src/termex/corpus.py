@@ -3,13 +3,15 @@ dataset balancing, and train/validation/test splitting."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
 import unicodedata
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateDatasetError,
@@ -153,15 +155,18 @@ def _byte_offsets(text: str) -> list[int] | None:
     return offs
 
 
+def _tokens(chars: Iterable[tuple[str, int, int]], offs: list[int] | None) -> Iterator[Token]:
+    """Tokens of character-offset triples, at the byte offsets of offs (None: ASCII)."""
+    if offs is None:
+        return (Token(t, a, b) for t, a, b in chars)
+    return (Token(t, offs[a], offs[b]) for t, a, b in chars)
+
+
 def tokenize(text: str) -> list[Token]:
     """Split on whitespace, then peel leading/trailing punctuation into
     single-character tokens. Internal punctuation stays attached, so
     "theregister.co.uk" survives whole while "PyTorch," splits in two."""
-    offs = _byte_offsets(text)
-    chars = _char_tokens(text)
-    if offs is None:
-        return [Token(t, a, b) for t, a, b in chars]
-    return [Token(t, offs[a], offs[b]) for t, a, b in chars]
+    return list(_tokens(_char_tokens(text), _byte_offsets(text)))
 
 
 def _is_abbreviation(text: str, k: int) -> bool:
@@ -198,31 +203,15 @@ def _sentence_boundaries(text: str) -> list[int]:
 def split_sentences(text: str, doc_id: str = "") -> list[Sentence]:
     """Rule-based sentence splitting at ./!/? followed by whitespace and an
     uppercase letter (or end of text), with abbreviation suppression."""
-    chars = _char_tokens(text)
     bounds = _sentence_boundaries(text)
     offs = _byte_offsets(text)
-
-    groups: list[list[tuple[str, int, int]]] = []
-    cur: list[tuple[str, int, int]] = []
-    bi = 0
-    for tok in chars:
-        while bi < len(bounds) and tok[1] >= bounds[bi]:
-            if cur:
-                groups.append(cur)
-                cur = []
-            bi += 1
-        cur.append(tok)
-    if cur:
-        groups.append(cur)
-
-    sentences = []
-    for idx, group in enumerate(groups):
-        if offs is None:
-            tokens = tuple(Token(t, a, b) for t, a, b in group)
-        else:
-            tokens = tuple(Token(t, offs[a], offs[b]) for t, a, b in group)
-        sentences.append(Sentence(doc_id=doc_id, index=idx, tokens=tokens))
-    return sentences
+    # A token's sentence is the number of boundaries at or before its start;
+    # a sentence with no tokens forms no group.
+    groups = itertools.groupby(_char_tokens(text), key=lambda tok: bisect_right(bounds, tok[1]))
+    return [
+        Sentence(doc_id=doc_id, index=idx, tokens=tuple(_tokens(group, offs)))
+        for idx, (_, group) in enumerate(groups)
+    ]
 
 
 def split_document(doc: Document) -> list[Sentence]:
@@ -303,6 +292,14 @@ def _part_sizes(n: int, ratios: Sequence[float]) -> list[int]:
     return base
 
 
+def check_ratios(ratios: Sequence[float]) -> None:
+    """Raise RatioError unless ratios are three positive numbers summing to 1."""
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
+        raise RatioError(f"ratios must be three positive numbers, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise RatioError(f"ratios must sum to 1, got {sum(ratios)}")
+
+
 def split_dataset(
     sentences: Sequence[LabeledSentence],
     ratios: tuple[float, float, float],
@@ -312,10 +309,7 @@ def split_dataset(
 
     Each class is partitioned independently so the label distribution is
     preserved in every part (to within one sentence of rounding)."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise RatioError(f"ratios must be three positive numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise RatioError(f"ratios must sum to 1, got {sum(ratios)}")
+    check_ratios(ratios)
     rng = random.Random(seed)
     parts: tuple[list[LabeledSentence], ...] = ([], [], [])
     for label in (SentenceLabel.CONTAINS_TECH, SentenceLabel.NO_TECH):

@@ -16,7 +16,7 @@ from . import modelio
 from .corpus import Sentence, TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
 from .features import BOS_WORD, EOS_WORD, LW, NG, P0, PSEQ, RW, SH0, SHSEQ, TEMPLATES, W0, W_AFTER
-from .features import W_BEFORE, FeatureConfig, FeatureIndex, SparseFeatures, _tag_token, admit
+from .features import W_BEFORE, FeatureConfig, FeatureIndex, _tag_token, admit
 from .features import raw_ngrams, triples, window_slices, word_shape
 
 MAGIC = b"TXCRF"
@@ -27,7 +27,7 @@ _LABEL_INDEX = {TokenLabel.T: 0, TokenLabel.O: 1}
 # Transition rows: previous state BOS / T / O.
 BOS = 0
 
-TrainingSequence = tuple[Sequence[SparseFeatures], Sequence[TokenLabel]]
+TrainingSequence = tuple[Sequence[frozenset[str]], Sequence[TokenLabel]]
 
 
 @dataclass
@@ -57,7 +57,7 @@ class PotentialTable:
 
 def _flat_ids(
     index: FeatureIndex,
-    features_per_position: Sequence[SparseFeatures],
+    features_per_position: Sequence[frozenset[str]],
     first: int = 0,
 ) -> tuple[list[int], list[int]]:
     """Each position's known feature ids in FeatureIndex.ids order, flattened,
@@ -96,7 +96,7 @@ def _clique_scores(
 
 
 def potentials(
-    model: CrfModel, features_per_position: Sequence[SparseFeatures]
+    model: CrfModel, features_per_position: Sequence[frozenset[str]]
 ) -> PotentialTable:
     """log phi_i(prev, cur) = transition[prev, cur] + sum of emission weights
     of the features fired at i (unknown features are ignored). It adds them
@@ -275,7 +275,7 @@ def viterbi_from_table(table: PotentialTable) -> list[TokenLabel]:
 
 
 def viterbi(
-    model: CrfModel, features_per_position: Sequence[SparseFeatures]
+    model: CrfModel, features_per_position: Sequence[frozenset[str]]
 ) -> list[TokenLabel]:
     return viterbi_from_table(potentials(model, features_per_position))
 
@@ -526,7 +526,7 @@ def load_crf(path: str | Path) -> CrfModel:
         feature_config.validate()
     except ConfigError as exc:
         raise ModelFormatError(f"bad feature config in the CRF model: {exc}") from exc
-    index = FeatureIndex.from_strings(strings)
+    index = FeatureIndex(strings)
     if len(index) != count:
         raise ModelFormatError("repeated feature strings in the CRF model")
     # Ids follow sorted-string order, but older files hold their strings in

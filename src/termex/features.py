@@ -42,11 +42,6 @@ class FeatureConfig:
 DEFAULT_FEATURES = FeatureConfig()
 
 
-@dataclass(frozen=True)
-class SparseFeatures:
-    fired: frozenset[str]
-
-
 def word_shape(text: str) -> str:
     """Orthographic shape: X/x/d/s character classes with runs collapsed."""
     if text.isascii() and text.isalpha() and (text.islower() or text.isupper() or text.istitle()):
@@ -98,12 +93,6 @@ def _tag_token(text: str) -> CoarsePosTag:
     if text.isalnum():
         return CoarsePosTag.MIXED
     return CoarsePosTag.SYM
-
-
-def pos_tag(sentence: Sentence) -> list[CoarsePosTag]:
-    """Coarse orthographic tag per token. A stand-in for a real POS tagger
-    with the same interface, so one can be swapped in."""
-    return [_tag_token(t.text) for t in sentence.tokens]
 
 
 # A text enters a table on its second sighting, so one-off words never fill
@@ -167,7 +156,7 @@ def window_slices(i: int, window: int) -> tuple[slice, slice]:
 
 def sentence_features(
     sentence: Sentence, config: FeatureConfig = DEFAULT_FEATURES
-) -> list[SparseFeatures]:
+) -> list[frozenset[str]]:
     """The features fired at every token position i, in one pass:
 
     - W0, W-1 and W+1: the case-folded word at i, i - 1 and i + 1, with
@@ -197,18 +186,19 @@ def sentence_features(
     out = []
     for i, fired in enumerate(neighbours):
         left_of, right_of = window_slices(i, config.window)
-        out.append(SparseFeatures(frozenset((*own[i], *fired, *left[left_of], *right[right_of]))))
+        out.append(frozenset((*own[i], *fired, *left[left_of], *right[right_of])))
     return out
 
 
 class FeatureIndex:
-    """Dense ids for feature strings; frozen after building, so unseen
-    features at inference map to nothing. Freezing numbers the features in
-    sorted-string order, so sorted ids are ids of sorted strings."""
+    """Dense ids for a fixed set of feature strings, numbered in sorted-string
+    order, so sorted ids are ids of sorted strings; unseen features at
+    inference map to nothing. Repeated strings share one id."""
 
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self.frozen = False
+    def __init__(self, strings: Iterable[str]) -> None:
+        self._ids = {feature: idx for idx, feature in enumerate(sorted(set(strings)))}
+        # A frozenset, because intersecting two sets walks the smaller one.
+        self._known = frozenset(self._ids)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -216,27 +206,13 @@ class FeatureIndex:
     def __contains__(self, feature: str) -> bool:
         return feature in self._ids
 
-    def add(self, feature: str) -> None:
-        if self.frozen:
-            raise ValueError("feature index is frozen")
-        self._ids.setdefault(feature, len(self._ids))
-
-    def freeze(self) -> "FeatureIndex":
-        self.frozen = True
-        self._ids = {feature: idx for idx, feature in enumerate(sorted(self._ids))}
-        # A frozenset, because intersecting two sets walks the smaller one.
-        self._known = frozenset(self._ids)
-        return self
-
     def lookup(self, feature: str) -> int | None:
         return self._ids.get(feature)
 
-    def ids(self, features: SparseFeatures) -> list[int]:
+    def ids(self, features: frozenset[str]) -> list[int]:
         """Known ids for the fired features, in the sorted order of their
         strings; unknown ones are dropped."""
-        if not self.frozen:
-            raise ValueError("feature index must be frozen before lookups")
-        return sorted(map(self._ids.__getitem__, self._known & features.fired))
+        return sorted(map(self._ids.__getitem__, self._known & features))
 
     def strings(self) -> list[str]:
         """Feature strings in id order."""
@@ -244,15 +220,8 @@ class FeatureIndex:
 
     @classmethod
     def build(
-        cls, feature_sets: Iterable[SparseFeatures], min_count: int = 2
+        cls, feature_sets: Iterable[frozenset[str]], min_count: int = 2
     ) -> "FeatureIndex":
         """Index the features fired in at least min_count of the sets."""
-        counts = Counter(itertools.chain.from_iterable(f.fired for f in feature_sets))
-        return cls.from_strings([f for f, n in counts.items() if n >= min_count])
-
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "FeatureIndex":
-        index = cls()
-        for feature in strings:
-            index.add(feature)
-        return index.freeze()
+        counts = Counter(itertools.chain.from_iterable(feature_sets))
+        return cls(f for f, n in counts.items() if n >= min_count)

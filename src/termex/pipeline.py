@@ -32,7 +32,7 @@ from .evaluation import (
     evaluate_stage2,
     report_to_json,
 )
-from .features import SparseFeatures, sentence_features
+from .features import sentence_features
 from .synth import generate_corpus
 
 
@@ -62,10 +62,7 @@ def crf_dataset(sentences: list[LabeledSentence], feature_config):
     ]
     return [
         (
-            [
-                SparseFeatures(frozenset(map(sys.intern, f.fired)))
-                for f in sentence_features(s.sentence, feature_config)
-            ],
+            [frozenset(map(sys.intern, f)) for f in sentence_features(s.sentence, feature_config)],
             list(s.token_labels),
         )
         for s in positives
@@ -80,8 +77,7 @@ def run_pipeline(
     """Synthesize or load a corpus, annotate, balance, split, train the three
     models, evaluate, and persist everything under the working directory."""
     say = log or (lambda _msg: None)
-    for stage in (cfg.embeddings, cfg.classifier, cfg.synth(), cfg.crf):
-        stage.validate()  # a bad value fails before any work is done
+    cfg.validate()
     out = Path(workdir if workdir is not None else cfg.workdir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -57,7 +57,7 @@ from termex.embeddings import (
     window_mask,
 )
 from termex.evaluation import ConfusionCounts, f_score
-from termex.features import FeatureIndex, SparseFeatures, sentence_features
+from termex.features import FeatureIndex, sentence_features
 from termex.pipeline import run_pipeline
 from termex.synth import SynthConfig, generate_corpus
 from tests.conftest import ALL_TERMS, MULTI_TERMS, pair_loss, step_gradients
@@ -120,10 +120,7 @@ def test_criterion_1_synthetic_end_to_end(full_run):
 
 def _random_crf_instance(rng, max_features=10, max_len=10):
     n_features = int(rng.integers(1, max_features + 1))
-    index = FeatureIndex()
-    for i in range(n_features):
-        index.add(f"f={i}")
-    index.freeze()
+    index = FeatureIndex(f"f={i}" for i in range(n_features))
     model = CrfModel(
         feature_index=index,
         emission_weights=rng.normal(size=(n_features, 2)),
@@ -134,7 +131,7 @@ def _random_crf_instance(rng, max_features=10, max_len=10):
     for _ in range(length):
         k = int(rng.integers(0, min(4, n_features) + 1))
         chosen = rng.choice(n_features, size=k, replace=False)
-        features.append(SparseFeatures(frozenset(f"f={i}" for i in chosen)))
+        features.append(frozenset(f"f={i}" for i in chosen))
     return model, features
 
 
@@ -204,10 +201,7 @@ def test_criterion_3_crf_gradient():
     def body():
         rng = np.random.default_rng(30)
         for _ in range(5):
-            index = FeatureIndex()
-            for i in range(5):
-                index.add(f"f={i}")
-            index.freeze()
+            index = FeatureIndex(f"f={i}" for i in range(5))
             dataset = []
             for _ in range(3):
                 length = int(rng.integers(1, 6))
@@ -215,7 +209,7 @@ def test_criterion_3_crf_gradient():
                 for _ in range(length):
                     k = int(rng.integers(0, 4))
                     chosen = rng.choice(5, size=k, replace=False)
-                    feats.append(SparseFeatures(frozenset(f"f={i}" for i in chosen)))
+                    feats.append(frozenset(f"f={i}" for i in chosen))
                     labels.append(T if rng.random() < 0.5 else O)
                 dataset.append((feats, labels))
             prepared = prepare_dataset(dataset, index)

@@ -320,11 +320,20 @@ class TestPipeline:
             "pipeline", "--config", fast_ini, "--out", str(tmp_path / "r"),
         ]) == 2
 
+    @pytest.mark.parametrize(
+        "section,line,message",
+        [
+            ("crf", "ngram_min = 0", "ngram_min must be >= 1"),
+            ("main", "ratios = 0.5 0.5 0.5", "ratios must sum to 1"),
+            ("main", "ratios = a b c", "bad value for 'ratios'"),
+            ("main", "ratios = nan nan nan", "ratios must be three positive numbers"),
+        ],
+    )
     def test_bad_feature_config_exits_2_without_traceback(
-        self, gazetteer_file, fast_ini, tmp_path
+        self, gazetteer_file, fast_ini, tmp_path, section, line, message
     ):
-        with open(fast_ini, "a", encoding="utf-8") as fh:
-            fh.write("ngram_min = 0\n")  # the [crf] section is last
+        ini = Path(fast_ini)
+        ini.write_text(ini.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
         src = str(Path(termex.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "termex.cli", "pipeline", "--config", fast_ini,
@@ -332,10 +341,11 @@ class TestPipeline:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
         )
         assert proc.returncode == 2
-        assert "ngram_min must be >= 1" in proc.stderr
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
-        # Every stage's config is checked before any model is trained.
-        for name in ("embeddings.bin", "classifier.bin"):
+        # Every stage's config and the ratios are checked before any file is
+        # written.
+        for name in ("corpus.jsonl", "annotated.tsv", "embeddings.bin", "classifier.bin"):
             assert not (tmp_path / "run" / name).exists()
 
     def test_artifacts_identical_across_processes(

@@ -369,6 +369,8 @@ class TestSplitDataset:
             split_dataset(make_labeled(2, 2), (0.5, 0.5, 0.5), seed=0)
         with pytest.raises(RatioError):
             split_dataset(make_labeled(2, 2), (0.7, 0.3, -0.0), seed=0)
+        with pytest.raises(RatioError):
+            split_dataset(make_labeled(2, 2), (float("nan"),) * 3, seed=0)
 
     def test_deterministic(self):
         data = make_labeled(20, 20)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from termex.features import (
     TABLE_SIZE,
     FeatureConfig,
     FeatureIndex,
-    SparseFeatures,
     _tag_token,
     sentence_features,
     token_parts,
@@ -44,14 +44,11 @@ T, O = TokenLabel.T, TokenLabel.O
 
 
 def feats(*names):
-    return SparseFeatures(frozenset(names))
+    return frozenset(names)
 
 
 def build_model(feature_names, emission=None, transition=None, l2=1.0):
-    index = FeatureIndex()
-    for name in feature_names:
-        index.add(name)
-    index.freeze()
+    index = FeatureIndex(feature_names)
     if emission is None:
         emission = np.zeros((len(index), 2))
     if transition is None:
@@ -99,7 +96,7 @@ def reference_potentials(model, features_per_position):
     index = model.feature_index
     node = np.zeros((len(features_per_position), 2))
     for i, features in enumerate(features_per_position):
-        ids = [index.lookup(f) for f in sorted(features.fired) if f in index]
+        ids = [index.lookup(f) for f in sorted(features) if f in index]
         if ids:
             node[i] = model.emission_weights[ids].sum(axis=0)
     transition = model.transition_weights
@@ -199,12 +196,12 @@ def text_model(sentences, config, rng, keep=0.8):
     strings = sorted(
         {f for words in sentences
          for features in sentence_features(make_sentence(words), config)
-         for f in features.fired}
+         for f in features}
     )
     known = [f for f in strings if rng.random() < keep]
     scale = rng.choice([0.01, 1.0, 100.0], size=(len(known), 1))
     emission = rng.normal(size=(len(known), 2)) * scale
-    return CrfModel(FeatureIndex.from_strings(known), emission, rng.normal(size=(3, 2)),
+    return CrfModel(FeatureIndex(known), emission, rng.normal(size=(3, 2)),
                     feature_config=config)
 
 
@@ -340,11 +337,11 @@ def context_model(words, config, known, rng):
     """A model over the sentence's feature strings that knows every string
     but the LW, RW and W0 features of folds outside the set known."""
     strings = {f for features in sentence_features(make_sentence(words), config)
-               for f in features.fired}
+               for f in features}
     strings = sorted(f for f in strings if not f.startswith(("LW=", "RW=", "W0="))
                      or f.partition("=")[2] in known)
     emission = rng.normal(size=(len(strings), 2)) * rng.choice([0.01, 1.0, 100.0], size=(len(strings), 1))
-    return CrfModel(FeatureIndex.from_strings(strings), emission, rng.normal(size=(3, 2)),
+    return CrfModel(FeatureIndex(strings), emission, rng.normal(size=(3, 2)),
                     feature_config=config)
 
 
@@ -611,10 +608,7 @@ class TestMarginals:
 
 
 def random_training_setup(rng, n_features=5, n_sequences=3, max_len=5):
-    index = FeatureIndex()
-    for i in range(n_features):
-        index.add(f"f={i}")
-    index.freeze()
+    index = FeatureIndex(f"f={i}" for i in range(n_features))
     dataset = []
     for _ in range(n_sequences):
         length = int(rng.integers(1, max_len + 1))
@@ -975,10 +969,8 @@ class TestSerialization:
         names = [f"f={k}" for k in rng.permutation(40)]
         emission = rng.normal(size=(40, 2))
         transition = rng.normal(size=(3, 2))
-        first_seen = FeatureIndex()  # unfrozen, so it keeps insertion order
-        for name in names:
-            first_seen.add(name)
-        old = CrfModel(first_seen, emission, transition)
+        # save_crf writes the strings of strings(), in its order.
+        old = CrfModel(SimpleNamespace(strings=lambda: names), emission, transition)
         order = sorted(range(40), key=names.__getitem__)
         new = build_model(sorted(names), emission[order], transition)
         save_crf(old, tmp_path / "old.bin")
@@ -993,7 +985,7 @@ class TestSerialization:
                 feats(*rng.choice(names, size=int(rng.integers(0, 12)), replace=False))
                 for _ in range(int(rng.integers(1, 9)))
             ]
-            start, steps = reference_potentials(old, sentence)
+            start, steps = reference_potentials(new, sentence)
             for model in (from_old, from_new):
                 table = potentials(model, sentence)
                 assert table.start.tobytes() == start.tobytes()

@@ -14,9 +14,7 @@ from termex.features import (
     CoarsePosTag,
     FeatureConfig,
     FeatureIndex,
-    SparseFeatures,
     _tag_token,
-    pos_tag,
     sentence_features,
     word_shape,
 )
@@ -32,7 +30,7 @@ def char_ngrams(text, n_min=2, n_max=4):
     }
 
 
-def extract_features(sentence, pos_tags, i, config=DEFAULT_FEATURES):
+def extract_features(sentence, i, config=DEFAULT_FEATURES):
     """The template set for token position i, written plainly: the
     reference that sentence_features must equal at every position.
 
@@ -42,6 +40,7 @@ def extract_features(sentence, pos_tags, i, config=DEFAULT_FEATURES):
     n = len(words)
     if not 0 <= i < n:
         raise IndexError(f"position {i} out of range for {n} tokens")
+    pos_tags = [_tag_token(t.text) for t in sentence.tokens]
 
     fired = {
         f"W0={words[i]}",
@@ -65,7 +64,7 @@ def extract_features(sentence, pos_tags, i, config=DEFAULT_FEATURES):
 
     fired.update(f"LW={w}" for w in words[max(0, i - config.window) : i])
     fired.update(f"RW={w}" for w in words[i + 1 : i + 1 + config.window])
-    return SparseFeatures(frozenset(fired))
+    return frozenset(fired)
 
 
 def is_num_reference(text):
@@ -176,7 +175,7 @@ class TestCharNgrams:
 
 class TestPosTag:
     def test_rule_application(self):
-        tags = pos_tag(make_sentence(["Google", "released", "2", "tools", "."]))
+        tags = [_tag_token(t) for t in ["Google", "released", "2", "tools", "."]]
         assert tags == [
             CoarsePosTag.CAP,
             CoarsePosTag.LOWER,
@@ -200,7 +199,7 @@ class TestPosTag:
         ],
     )
     def test_single_tokens(self, text, tag):
-        assert pos_tag(make_sentence([text])) == [tag]
+        assert _tag_token(text) is tag
 
     def test_num_rule_matches_reference_on_every_code_point(self):
         # Every other rule applies only when NUM does not, so the same NUM
@@ -222,13 +221,13 @@ class TestPosTag:
     def test_total_function(self, text):
         if any(ch.isspace() for ch in text):
             return
-        assert pos_tag(make_sentence([text]))[0] in CoarsePosTag
+        assert _tag_token(text) in CoarsePosTag
 
 
 class TestExtractFeatures:
     def test_template_enumeration(self):
         s = make_sentence(["uses", "Apache", "Hive"])
-        fired = extract_features(s, pos_tag(s), 1).fired
+        fired = extract_features(s, 1)
         assert {
             "W0=apache", "W-1=uses", "W+1=hive", "SH0=Xx", "LW=uses",
             "RW=hive", "P0=CAP",
@@ -236,31 +235,31 @@ class TestExtractFeatures:
 
     def test_boundary_single_token(self):
         s = make_sentence(["Solo"])
-        fired = extract_features(s, pos_tag(s), 0).fired
+        fired = extract_features(s, 0)
         assert "W-1=<BOS>" in fired and "W+1=<EOS>" in fired
         assert not any(f.startswith(("LW=", "RW=")) for f in fired)
         assert "PSEQ=BOS_CAP_EOS" in fired
 
     def test_window_clipping(self):
         s = make_sentence(["a", "b", "c", "d", "e", "f"])
-        fired = extract_features(s, pos_tag(s), 0).fired
+        fired = extract_features(s, 0)
         right = {f for f in fired if f.startswith("RW=")}
         assert right == {"RW=b", "RW=c", "RW=d", "RW=e"}
 
     def test_window_presence_is_set_valued(self):
         s = make_sentence(["x", "x", "x", "x", "mid"])
-        fired = extract_features(s, pos_tag(s), 4).fired
+        fired = extract_features(s, 4)
         assert {f for f in fired if f.startswith("LW=")} == {"LW=x"}
 
     def test_ngram_features_present(self):
         s = make_sentence(["Hive"])
-        fired = extract_features(s, pos_tag(s), 0, FeatureConfig(3, 3, 4)).fired
+        fired = extract_features(s, 0, FeatureConfig(3, 3, 4))
         assert {"NG=<hi", "NG=hiv", "NG=ive", "NG=ve>"} <= fired
 
     def test_position_out_of_range(self):
         s = make_sentence(["one"])
         with pytest.raises(IndexError):
-            extract_features(s, pos_tag(s), 1)
+            extract_features(s, 1)
 
     def test_locality(self):
         base = ["w0", "w1", "w2", "w3", "w4", "mid", "y0", "y1", "y2", "y3", "y4"]
@@ -270,28 +269,26 @@ class TestExtractFeatures:
         changed[10] = "other"
         s2 = make_sentence(changed)
         i = 5
-        assert extract_features(s1, pos_tag(s1), i) == extract_features(
-            s2, pos_tag(s2), i
-        )
+        assert extract_features(s1, i) == extract_features(s2, i)
 
     def test_neighbourhood_determines_sequences(self):
         s1 = make_sentence(["aaa", "Core", "bbb"])
         s2 = make_sentence(["aaa", "Core", "bbb", "extra", "words"])
-        f1 = extract_features(s1, pos_tag(s1), 1)
-        f2 = extract_features(s2, pos_tag(s2), 1)
-        seq1 = {f for f in f1.fired if f.startswith(("PSEQ=", "SHSEQ="))}
-        seq2 = {f for f in f2.fired if f.startswith(("PSEQ=", "SHSEQ="))}
+        f1 = extract_features(s1, 1)
+        f2 = extract_features(s2, 1)
+        seq1 = {f for f in f1 if f.startswith(("PSEQ=", "SHSEQ="))}
+        seq2 = {f for f in f2 if f.startswith(("PSEQ=", "SHSEQ="))}
         assert seq1 == seq2
 
     def test_all_values_case_folded(self):
         s = make_sentence(["USES", "Apache", "HIVE"])
-        fired = extract_features(s, pos_tag(s), 1).fired
+        fired = extract_features(s, 1)
         assert "W0=apache" in fired and "W-1=uses" in fired and "W+1=hive" in fired
 
     def test_every_feature_parses_as_template_value(self):
         s = make_sentence(["Google", "released", "TensorFlow", "2.0", "."])
         for features in sentence_features(s):
-            for f in features.fired:
+            for f in features:
                 template, _, value = f.partition("=")
                 assert template and value
 
@@ -315,8 +312,7 @@ class TestSentenceFeatures:
     def test_matches_per_position_reference(self, words, ngram_min, ngram_span, window):
         s = make_sentence(words)
         config = FeatureConfig(ngram_min, ngram_min + ngram_span, window)
-        tags = pos_tag(s)
-        expected = [extract_features(s, tags, i, config) for i in range(len(words))]
+        expected = [extract_features(s, i, config) for i in range(len(words))]
         assert sentence_features(s, config) == expected
 
     @pytest.mark.parametrize(
@@ -330,9 +326,8 @@ class TestSentenceFeatures:
     )
     def test_edge_sentences(self, words):
         s = make_sentence(words)
-        tags = pos_tag(s)
         assert sentence_features(s) == [
-            extract_features(s, tags, i) for i in range(len(words))
+            extract_features(s, i) for i in range(len(words))
         ]
 
     def test_ngram_max_beyond_token_length(self):
@@ -345,9 +340,9 @@ class TestSentenceFeatures:
 
     def test_context_words_are_casefolded(self):
         s = make_sentence(["Straße", "x"])
-        fired = sentence_features(s)[1].fired
+        fired = sentence_features(s)[1]
         assert "LW=strasse" in fired and "W-1=strasse" in fired
-        assert "NG=aße" in sentence_features(s)[0].fired  # n-grams use lower()
+        assert "NG=aße" in sentence_features(s)[0]  # n-grams use lower()
 
 
 @pytest.fixture
@@ -367,7 +362,7 @@ class TestTokenTable:
         # Case variants share a fold but not a tag or a shape, so a table
         # keyed by anything but the exact text serves them wrong parts.
         s = make_sentence(["Hive", "HIVE", "hive", "uses", "2,019", "Hive"])
-        expected = [extract_features(s, pos_tag(s), i) for i in range(6)]
+        expected = [extract_features(s, i) for i in range(6)]
         table, seen = default_tables()
         assert sentence_features(s) == expected  # every text first seen...
         assert set(table) == {"Hive"}  # ...but one that recurs in the sentence
@@ -387,7 +382,7 @@ class TestTokenTable:
         assert 0 < len(seen) <= SEEN_SIZE
         s = make_sentence(texts[-3:])
         assert sentence_features(s) == [
-            extract_features(s, pos_tag(s), i) for i in range(3)
+            extract_features(s, i) for i in range(3)
         ]
 
     def test_empty_sentence(self):
@@ -399,7 +394,7 @@ class TestTokenTable:
         for _ in range(3):
             for config in configs:
                 assert sentence_features(s, config) == [
-                    extract_features(s, pos_tag(s), i, config) for i in range(2)
+                    extract_features(s, i, config) for i in range(2)
                 ]
         tables = [features._tables(c.ngram_min, c.ngram_max)[0] for c in configs]
         assert all(set(table) == {"Apache", "Hive"} for table in tables)
@@ -418,11 +413,8 @@ class TestTokenTable:
 
 
 class TestFeatureIndex:
-    def sets(self, groups):
-        return [SparseFeatures(frozenset(g)) for g in groups]
-
     def test_round_trip_of_training_features(self):
-        data = self.sets([{"a=1", "b=2"}, {"a=1", "c=3"}, {"a=1", "b=2"}])
+        data = [frozenset({"a=1", "b=2"}), frozenset({"a=1", "c=3"}), frozenset({"a=1", "b=2"})]
         index = FeatureIndex.build(data, min_count=2)
         assert len(index) == 2
         for f in ("a=1", "b=2"):
@@ -430,24 +422,24 @@ class TestFeatureIndex:
         assert index.lookup("c=3") is None
 
     def test_dense_ids(self):
-        index = FeatureIndex.build(self.sets([{"a=1", "b=2", "c=3"}] * 2), min_count=2)
-        assert sorted(index.ids(SparseFeatures(frozenset({"a=1", "b=2", "c=3"})))) == [0, 1, 2]
+        index = FeatureIndex.build([frozenset({"a=1", "b=2", "c=3"})] * 2, min_count=2)
+        assert sorted(index.ids(frozenset({"a=1", "b=2", "c=3"}))) == [0, 1, 2]
 
     def test_ids_in_sorted_string_order(self):
-        # Strings arrive out of order, and freezing numbers them in sorted
+        # Strings arrive out of order, and the index numbers them in sorted
         # order, so the ids of a lookup follow the strings.
-        index = FeatureIndex.from_strings(["z=1", "a=2", "m=3", "b=4"])
+        index = FeatureIndex(["z=1", "a=2", "m=3", "b=4"])
         assert [index.lookup(f) for f in ("a=2", "b=4", "m=3", "z=1")] == [0, 1, 2, 3]
-        fired = SparseFeatures(frozenset({"m=3", "z=1", "b=4", "a=2", "unseen=0"}))
+        fired = frozenset({"m=3", "z=1", "b=4", "a=2", "unseen=0"})
         assert index.ids(fired) == [0, 1, 2, 3]
 
     def test_build_numbers_kept_features_in_sorted_order(self):
         rng = random.Random(0)
         names = [f"{k}={v}" for k in ("W0", "NG", "P0") for v in range(12)]
-        data = [SparseFeatures(frozenset(rng.sample(names, 5))) for _ in range(40)]
+        data = [frozenset(rng.sample(names, 5)) for _ in range(40)]
         counts = {}
         for features in data:
-            for f in features.fired:
+            for f in features:
                 counts[f] = counts.get(f, 0) + 1
         index = FeatureIndex.build(data, min_count=3)
         assert index.strings() == sorted(f for f, n in counts.items() if n >= 3)
@@ -459,29 +451,17 @@ class TestFeatureIndex:
     )
     @settings(max_examples=100)
     def test_ids_follow_string_order(self, strings, data):
-        index = FeatureIndex.from_strings(strings)
+        index = FeatureIndex(strings)
         fired = data.draw(st.sets(st.sampled_from(strings + ["unknown=", "zz"])))
         expected = [index.lookup(f) for f in sorted(fired) if f in index]
-        assert index.ids(SparseFeatures(frozenset(fired))) == expected
+        assert index.ids(frozenset(fired)) == expected
 
-    def test_unfrozen_index_rejects_lookups(self):
-        index = FeatureIndex()
-        index.add("a=1")
-        with pytest.raises(ValueError):
-            index.ids(SparseFeatures(frozenset({"a=1"})))
-
-    def test_frozen_rejects_new(self):
-        index = FeatureIndex.build(self.sets([{"a=1"}] * 2), min_count=2)
-        with pytest.raises(ValueError):
-            index.add("new=1")
-        assert index.ids(SparseFeatures(frozenset({"unseen=9"}))) == []
+    def test_unknown_ids_are_dropped(self):
+        index = FeatureIndex.build([frozenset({"a=1"})] * 2, min_count=2)
+        assert index.ids(frozenset({"unseen=9"})) == []
 
     def test_strings_in_id_order(self):
-        index = FeatureIndex()
-        for f in ("z=1", "a=2", "m=3"):
-            index.add(f)
-        assert index.strings() == ["z=1", "a=2", "m=3"]
-        index.freeze()
+        index = FeatureIndex(["z=1", "a=2", "m=3"])
         assert index.strings() == ["a=2", "m=3", "z=1"]
-        rebuilt = FeatureIndex.from_strings(index.strings())
+        rebuilt = FeatureIndex(index.strings())
         assert rebuilt.lookup("a=2") == index.lookup("a=2")

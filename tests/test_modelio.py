@@ -66,7 +66,7 @@ class TestReaders:
 class TestLoaderChecks:
     def test_repeated_crf_feature_strings(self, tmp_path):
         model = CrfModel(
-            feature_index=FeatureIndex.from_strings(["a=1", "b=1"]),
+            feature_index=FeatureIndex(["a=1", "b=1"]),
             emission_weights=np.zeros((2, 2)),
             transition_weights=np.zeros((3, 2)),
         )
@@ -79,7 +79,7 @@ class TestLoaderChecks:
     @pytest.mark.parametrize("features", [FeatureConfig(0, 2, 1), FeatureConfig(5, 2, 1)])
     def test_bad_crf_feature_config(self, tmp_path, features):
         model = CrfModel(
-            feature_index=FeatureIndex.from_strings(["a=1"]),
+            feature_index=FeatureIndex(["a=1"]),
             emission_weights=np.zeros((1, 2)),
             transition_weights=np.zeros((3, 2)),
             feature_config=features,
