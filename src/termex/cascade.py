@@ -3,10 +3,8 @@ tagger, and decoded T runs become term spans."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .classifier import ClassifierModel
 from .corpus import Document, Sentence, Token, TokenLabel, split_document
@@ -172,8 +170,3 @@ def extraction_to_json(extraction: Extraction) -> dict:
         ],
     }
 
-
-def write_extractions_jsonl(path: str | Path, extractions: Iterable[Extraction]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for extraction in extractions:
-            fh.write(json.dumps(extraction_to_json(extraction)) + "\n")

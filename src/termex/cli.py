@@ -11,12 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import formats
-from .cascade import (
-    PipelineModels,
-    extract_from_document,
-    extraction_to_json,
-    write_extractions_jsonl,
-)
+from .cascade import PipelineModels, extract_from_document, extraction_to_json
 from .classifier import load_classifier, save_classifier, train_classifier
 from .config import RunConfig, default_config_path, load_run_config
 from .corpus import (
@@ -53,9 +48,8 @@ def _require(path: str | None, what: str) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    path = getattr(args, "config", None) or default_config_path()
-    cfg = load_run_config(path)
-    if getattr(args, "seed", None) is not None:
+    cfg = load_run_config(args.config or default_config_path())
+    if args.seed is not None:
         cfg.seed = args.seed
         cfg.embeddings = replace(cfg.embeddings, seed=args.seed)
         cfg.classifier = replace(cfg.classifier, seed=args.seed)
@@ -75,7 +69,7 @@ def cmd_annotate(args) -> int:
     formats.write_conll(args.out, annotated)
     print(f"annotated {len(annotated)} sentences -> {args.out}")
     print(f"before balancing: {positives} positive, {negatives} negative")
-    balanced = balance(annotated, args.seed if args.seed is not None else 0)
+    balanced = balance(annotated, args.seed)
     half = len(balanced) // 2
     print(f"after balancing: {half} positive, {half} negative")
     if args.balanced_out:
@@ -144,47 +138,44 @@ def _load_models(args) -> PipelineModels:
 def cmd_extract(args) -> int:
     models = _load_models(args)
     docs = formats.read_corpus_jsonl(_require(args.input, "corpus file"))
-    gold = formats.read_conll(_require(args.gold, "gold TSV")) if args.gold else None
+    gold = {}  # doc id -> its gold sentences
+    if args.gold:
+        for labeled in formats.read_conll(_require(args.gold, "gold TSV")):
+            gold.setdefault(labeled.sentence.doc_id, []).append(labeled)
 
+    per_doc = ((doc, extract_from_document(doc, models)) for doc in docs)
     if args.format == "jsonl":
-        extractions = [e for doc in docs for e in extract_from_document(doc, models)]
-        if args.out:
-            write_extractions_jsonl(args.out, extractions)
-        else:
-            for extraction in extractions:
-                print(json.dumps(extraction_to_json(extraction)))
-        return EXIT_OK
-
-    render = render_ansi if args.format == "ansi" else render_html
-    pieces = []
-    for doc in docs:
-        extractions = extract_from_document(doc, models)
-        doc_gold = [g for g in gold if g.sentence.doc_id == doc.id] if gold else None
-        pieces.append(render(doc, extractions, doc_gold))
-    output = "\n".join(pieces)
-    if args.out:
-        Path(args.out).write_text(output + "\n", encoding="utf-8")
+        output = "".join(
+            json.dumps(extraction_to_json(e)) + "\n"
+            for _, extractions in per_doc
+            for e in extractions
+        )
     else:
-        print(output)
+        render = render_ansi if args.format == "ansi" else render_html
+        pieces = (render(doc, extractions, gold.get(doc.id)) for doc, extractions in per_doc)
+        output = "\n".join(pieces) + "\n"
+    if args.out:
+        Path(args.out).write_text(output, encoding="utf-8")
+    else:
+        sys.stdout.write(output)
     return EXIT_OK
+
+
+# The token mode scores the tagger alone, over gold-positive sentences.
+_EVALUATORS = {
+    "sentence": evaluate_stage1,
+    "token": lambda models, test: evaluate_stage2(
+        models, [s for s in test if s.sentence_label is SentenceLabel.CONTAINS_TECH]
+    ),
+    "end_to_end": evaluate_end_to_end,
+    "span": evaluate_spans,
+}
 
 
 def cmd_evaluate(args) -> int:
     models = _load_models(args)
     test = formats.read_conll(_require(args.test, "test TSV"))
-    if args.mode == "sentence":
-        report = evaluate_stage1(models, test)
-    elif args.mode == "token":
-        positives = [
-            s for s in test if s.sentence_label is SentenceLabel.CONTAINS_TECH
-        ]
-        report = evaluate_stage2(models, positives)
-    elif args.mode == "span":
-        report = evaluate_spans(models, test)
-    else:
-        report = evaluate_end_to_end(models, test)
-
-    payload = report_to_json(report)
+    payload = report_to_json(_EVALUATORS[args.mode](models, test))
     print(f"mode: {payload['mode']}")
     print(
         f"tp={payload['tp']} fp={payload['fp']} tn={payload['tn']} fn={payload['fn']}"
@@ -204,7 +195,7 @@ def cmd_synth(args) -> int:
     gazetteer = formats.read_gazetteer(_require(args.gazetteer, "gazetteer file"))
     config = SynthConfig(
         n_sentences=args.n,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         positive_rate=args.positive_rate,
         sentences_per_doc=args.sentences_per_doc,
     )
@@ -242,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="run seed")
+    def config_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=None, help="run seed; overrides the config's")
         p.add_argument("--config", default=None, help="INI config file")
 
     p = sub.add_parser("annotate", help="gazetteer-annotate a JSONL corpus into TSV")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="balancing seed")
     p.add_argument("--corpus", required=True)
     p.add_argument("--gazetteer", required=True)
     p.add_argument("--out", required=True, help="annotated TSV path")
@@ -255,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_annotate)
 
     p = sub.add_parser("train", help="train one pipeline stage")
-    common(p)
+    config_flags(p)
     p.add_argument("stage", choices=("embeddings", "classifier", "crf"))
     p.add_argument("--corpus", help="JSONL corpus (embeddings stage)")
     p.add_argument("--train", help="training TSV (classifier and crf stages)")
@@ -265,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("extract", help="run the cascade over a JSONL corpus")
-    common(p)
     p.add_argument("--input", required=True, help="JSONL corpus")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--classifier", required=True)
@@ -276,21 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("evaluate", help="score models against a gold TSV")
-    common(p)
     p.add_argument("--test", required=True, help="gold TSV")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--classifier", required=True)
     p.add_argument("--crf", required=True)
     p.add_argument(
         "--mode",
-        choices=("sentence", "token", "end_to_end", "span"),
+        choices=tuple(_EVALUATORS),
         default="end_to_end",
     )
     p.add_argument("--out", default=None, help="JSON report path")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with gold labels")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="corpus seed")
     p.add_argument("--gazetteer", required=True)
     p.add_argument("--n", type=int, required=True, help="number of sentences")
     p.add_argument("--positive-rate", type=float, default=0.5)
@@ -302,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "pipeline", help="synth/annotate -> balance -> split -> train x3 -> evaluate"
     )
-    common(p)
+    config_flags(p)
     p.add_argument("--gazetteer", default=None)
     p.add_argument("--corpus", default=None, help="JSONL corpus; omitted = synthesize")
     p.add_argument("--out", default=None, help="working directory")

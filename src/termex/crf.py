@@ -234,22 +234,6 @@ def _path_scores(
     return score
 
 
-def log_partition(table: PotentialTable) -> float:
-    """log of the sum over all label sequences of the potential product."""
-    return float(_log_z(_forward(table.start[None], table.steps[None]))[0])
-
-
-def sequence_log_prob(table: PotentialTable, labels: Sequence[TokenLabel]) -> float:
-    """Normalized log-probability of one label sequence; always <= 0."""
-    if len(labels) != len(table):
-        raise LengthMismatchError(
-            f"{len(labels)} labels for a table of length {len(table)}"
-        )
-    states = np.array([[_LABEL_INDEX[l] for l in labels]])
-    path = _path_scores(table.start[None], table.steps[None], states)[0]
-    return float(path) - log_partition(table)
-
-
 def viterbi_from_table(table: PotentialTable) -> list[TokenLabel]:
     """Best label sequence; ties prefer O at the earliest differing position."""
     steps = table.steps.tolist()
@@ -278,12 +262,6 @@ def viterbi(
     model: CrfModel, features_per_position: Sequence[frozenset[str]]
 ) -> list[TokenLabel]:
     return viterbi_from_table(potentials(model, features_per_position))
-
-
-def marginals(table: PotentialTable) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior node marginals (L, 2) and edge marginals (L-1, 2, 2)."""
-    _, node, edge = _posteriors(table.start[None], table.steps[None])
-    return node[0], edge[0]
 
 
 @dataclass(frozen=True)

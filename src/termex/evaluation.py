@@ -3,8 +3,10 @@ and the end-to-end cascade."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from .cascade import PipelineModels, gate, gated_labels, spans_from_labels
 from .corpus import LabeledSentence, SentenceLabel, TokenLabel
@@ -45,30 +47,34 @@ def f_score(counts: ConfusionCounts, mode: str = "token") -> EvalReport:
     return EvalReport(counts, precision, recall, f, mode)
 
 
-def _count(gold_positive: bool, predicted_positive: bool) -> str:
-    if gold_positive:
-        return "tp" if predicted_positive else "fn"
-    return "fp" if predicted_positive else "tn"
-
-
-def _tally(outcomes: Sequence[str]) -> ConfusionCounts:
+def _tally(pairs: Iterable[tuple[bool, bool]]) -> ConfusionCounts:
+    """Confusion counts of (gold positive, predicted positive) pairs."""
+    counts = Counter(pairs)
     return ConfusionCounts(
-        tp=outcomes.count("tp"),
-        fp=outcomes.count("fp"),
-        tn=outcomes.count("tn"),
-        fn=outcomes.count("fn"),
+        tp=counts[True, True],
+        fp=counts[False, True],
+        tn=counts[False, False],
+        fn=counts[True, False],
     )
+
+
+def _token_pairs(
+    labeled: LabeledSentence, predicted: Sequence[TokenLabel] | None
+) -> Iterator[tuple[bool, bool]]:
+    """(gold T, predicted T) per token; no prediction reads as all O."""
+    for gold, pred in zip(labeled.token_labels, predicted or repeat(TokenLabel.O)):
+        yield gold is TokenLabel.T, pred is TokenLabel.T
 
 
 def evaluate_stage1(
     models: PipelineModels, test: Sequence[LabeledSentence]
 ) -> EvalReport:
     """Sentence-level report of the cascade's gate, ContainsTech positive."""
-    outcomes = [
-        _count(s.sentence_label is SentenceLabel.CONTAINS_TECH, gate(models, s.sentence))
+    pairs = (
+        (s.sentence_label is SentenceLabel.CONTAINS_TECH, gate(models, s.sentence))
         for s in test
-    ]
-    return f_score(_tally(outcomes), mode="sentence")
+    )
+    return f_score(_tally(pairs), mode="sentence")
 
 
 def _decode(models: PipelineModels, labeled: LabeledSentence) -> list[TokenLabel]:
@@ -84,12 +90,8 @@ def evaluate_stage2(
     for labeled in test:
         if labeled.sentence_label is not SentenceLabel.CONTAINS_TECH:
             raise ValueError("stage-II evaluation expects gold-positive sentences only")
-    outcomes = []
-    for labeled in test:
-        predicted = _decode(models, labeled)
-        for gold, pred in zip(labeled.token_labels, predicted):
-            outcomes.append(_count(gold is TokenLabel.T, pred is TokenLabel.T))
-    return f_score(_tally(outcomes), mode="token")
+    pairs = (p for labeled in test for p in _token_pairs(labeled, _decode(models, labeled)))
+    return f_score(_tally(pairs), mode="token")
 
 
 def evaluate_end_to_end(
@@ -97,14 +99,10 @@ def evaluate_end_to_end(
 ) -> EvalReport:
     """Token-level report over all sentences with the cascade's gating: a
     stage-I negative pushes every one of its tokens to predicted O."""
-    outcomes = []
-    for labeled in test:
-        predicted = gated_labels(models, labeled.sentence)
-        if predicted is None:
-            predicted = [TokenLabel.O] * len(labeled.token_labels)
-        for gold, pred in zip(labeled.token_labels, predicted):
-            outcomes.append(_count(gold is TokenLabel.T, pred is TokenLabel.T))
-    return f_score(_tally(outcomes), mode="end_to_end")
+    pairs = (
+        p for labeled in test for p in _token_pairs(labeled, gated_labels(models, labeled.sentence))
+    )
+    return f_score(_tally(pairs), mode="end_to_end")
 
 
 def evaluate_spans(

@@ -5,123 +5,78 @@ supplied) in red. Stripping the markup recovers the original text exactly."""
 from __future__ import annotations
 
 import html
-import re
-from typing import Sequence
+import itertools
+from typing import Callable, Sequence
 
 from .cascade import Extraction, spans_from_labels
-from .corpus import Document, LabeledSentence, Sentence, split_document
+from .corpus import Document, LabeledSentence, split_document
+from .errors import InputDataError
 
-_STYLE_NONE = 0
-_STYLE_SENTENCE = 1
-_STYLE_TERM = 2
-_STYLE_MISSED = 3
+# Styles in rising priority: where marks overlap, the higher style shows.
+_NONE, _SENTENCE, _TERM, _MISSED = range(4)
 
-_ANSI_CODES = {
-    _STYLE_SENTENCE: "\x1b[32m",
-    _STYLE_TERM: "\x1b[30;43m",
-    _STYLE_MISSED: "\x1b[37;41m",
+_ANSI = {_SENTENCE: "\x1b[32m", _TERM: "\x1b[30;43m", _MISSED: "\x1b[37;41m"}
+_HTML = {
+    _SENTENCE: "color:#1b7f2a",
+    _TERM: "background:#ffe84d",
+    _MISSED: "background:#ff6b6b;color:#fff",
 }
-_ANSI_RESET = "\x1b[0m"
-_ANSI_RE = re.compile(r"\x1b\[[0-9;]*m")
-
-_HTML_STYLES = {
-    _STYLE_SENTENCE: "color:#1b7f2a",
-    _STYLE_TERM: "background:#ffe84d",
-    _STYLE_MISSED: "background:#ff6b6b;color:#fff",
-}
-_TAG_RE = re.compile(r"<[^>]*>")
 
 
-def strip_ansi(text: str) -> str:
-    return _ANSI_RE.sub("", text)
+def _ansi(style: int, text: str) -> str:
+    return f"{_ANSI[style]}{text}\x1b[0m" if style else text
 
 
-def strip_html(text: str) -> str:
-    return html.unescape(_TAG_RE.sub("", text))
-
-
-def _token_range_bytes(sentence: Sentence, start_tok: int, end_tok: int) -> tuple[int, int]:
-    return sentence.tokens[start_tok].start, sentence.tokens[end_tok].end
-
-
-def _styled_ranges(
-    sentences: Sequence[Sentence],
-    extractions: Sequence[Extraction],
-    gold: Sequence[LabeledSentence] | None,
-) -> list[tuple[int, int, int]]:
-    """(start_byte, end_byte, style) ranges; later entries take priority."""
-    by_index = {e.sentence_index: e for e in extractions}
-    gold_by_index = {}
-    if gold is not None:
-        gold_by_index = {g.sentence.index: g for g in gold}
-
-    ranges: list[tuple[int, int, int]] = []
-    for sentence in sentences:
-        extraction = by_index.get(sentence.index)
-        if extraction is None:
-            continue
-        predicted = {(s.start, s.end) for s in extraction.term_spans}
-        if extraction.sentence_positive:
-            a, b = _token_range_bytes(sentence, 0, len(sentence.tokens) - 1)
-            ranges.append((a, b, _STYLE_SENTENCE))
-            for span in extraction.term_spans:
-                a, b = _token_range_bytes(sentence, span.start, span.end)
-                ranges.append((a, b, _STYLE_TERM))
-        labeled = gold_by_index.get(sentence.index)
-        if labeled is not None:
-            for span in spans_from_labels(labeled.sentence.tokens, labeled.token_labels):
-                if (span.start, span.end) not in predicted:
-                    a, b = _token_range_bytes(sentence, span.start, span.end)
-                    ranges.append((a, b, _STYLE_MISSED))
-    return ranges
-
-
-def _segment_styles(length: int, ranges: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Collapse overlapping ranges into contiguous (start, end, style) runs."""
-    styles = [0] * length
-    for a, b, style in ranges:
-        for k in range(a, b):
-            styles[k] = max(styles[k], style)
-    segments = []
-    at = 0
-    while at < length:
-        end = at
-        while end < length and styles[end] == styles[at]:
-            end += 1
-        segments.append((at, end, styles[at]))
-        at = end
-    return segments
+def _html(style: int, text: str) -> str:
+    text = html.escape(text, quote=False)
+    return f'<span style="{_HTML[style]}">{text}</span>' if style else text
 
 
 def _render(
     doc: Document,
     extractions: Sequence[Extraction],
-    fmt: str,
     gold: Sequence[LabeledSentence] | None,
+    markup: Callable[[int, str], str],
 ) -> str:
-    sentences = split_document(doc)
+    """Paint each byte of the text with its style, then mark up each run."""
     raw = doc.text.encode("utf-8")
-    ranges = _styled_ranges(sentences, extractions, gold)
-    segments = _segment_styles(len(raw), ranges)
+    styles = [_NONE] * len(raw)
+    by_index = {e.sentence_index: e for e in extractions}
+    gold_by_index = {g.sentence.index: g for g in gold or ()}
 
-    pieces: list[str] = []
-    for a, b, style in segments:
-        text = raw[a:b].decode("utf-8")
-        if fmt == "ansi":
-            if style == _STYLE_NONE:
-                pieces.append(text)
-            else:
-                pieces.append(f"{_ANSI_CODES[style]}{text}{_ANSI_RESET}")
-        else:
-            escaped = html.escape(text, quote=False)
-            if style == _STYLE_NONE:
-                pieces.append(escaped)
-            else:
-                pieces.append(f'<span style="{_HTML_STYLES[style]}">{escaped}</span>')
-    body = "".join(pieces)
-    if fmt == "html":
-        return f"<pre>{body}</pre>"
-    return body
+    for sentence in split_document(doc):
+        extraction = by_index.get(sentence.index)
+        if extraction is None:
+            continue
+        tokens = sentence.tokens
+        marks = []
+        if extraction.sentence_positive:
+            marks.append((0, len(tokens) - 1, _SENTENCE))
+            marks += [(s.start, s.end, _TERM) for s in extraction.term_spans]
+        labeled = gold_by_index.get(sentence.index)
+        if labeled is not None:
+            if labeled.sentence.token_texts() != sentence.token_texts():
+                raise InputDataError(
+                    f"gold sentence {sentence.index} of document {doc.id!r} "
+                    "does not match the corpus"
+                )
+            predicted = {(s.start, s.end) for s in extraction.term_spans}
+            marks += [
+                (s.start, s.end, _MISSED)
+                for s in spans_from_labels(tokens, labeled.token_labels)
+                if (s.start, s.end) not in predicted
+            ]
+        # Marks come in rising style, so a later one overwrites an earlier.
+        for start, end, style in marks:
+            a, b = tokens[start].start, tokens[end].end
+            styles[a:b] = [style] * (b - a)
+
+    pieces, at = [], 0
+    for style, run in itertools.groupby(styles):
+        end = at + sum(1 for _ in run)
+        pieces.append(markup(style, raw[at:end].decode("utf-8")))
+        at = end
+    return "".join(pieces)
 
 
 def render_ansi(
@@ -129,7 +84,7 @@ def render_ansi(
     extractions: Sequence[Extraction],
     gold: Sequence[LabeledSentence] | None = None,
 ) -> str:
-    return _render(doc, extractions, "ansi", gold)
+    return _render(doc, extractions, gold, _ansi)
 
 
 def render_html(
@@ -137,4 +92,4 @@ def render_html(
     extractions: Sequence[Extraction],
     gold: Sequence[LabeledSentence] | None = None,
 ) -> str:
-    return _render(doc, extractions, "html", gold)
+    return f"<pre>{_render(doc, extractions, gold, _html)}</pre>"

@@ -1,3 +1,6 @@
+import html
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,16 @@ def gazetteer_file(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("gazetteer") / "gazetteer.txt"
     path.write_text(gazetteer_text(), encoding="utf-8")
     return str(path)
+
+
+def strip_ansi(text: str) -> str:
+    """The text of an ANSI rendering, without its escape codes."""
+    return re.sub(r"\x1b\[[0-9;]*m", "", text)
+
+
+def strip_html(text: str) -> str:
+    """The text of an HTML rendering, without its tags and entities."""
+    return html.unescape(re.sub(r"<[^>]*>", "", text))
 
 
 def fast_config(gazetteer_path: str, n_sentences: int = 400, seed: int = 0) -> RunConfig:

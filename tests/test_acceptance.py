@@ -38,8 +38,6 @@ from termex.crf import (
     CrfConfig,
     CrfModel,
     load_crf,
-    log_partition,
-    marginals,
     potentials,
     prepare_dataset,
     regularized_log_likelihood_and_gradient,
@@ -61,6 +59,7 @@ from termex.features import FeatureIndex, sentence_features
 from termex.pipeline import run_pipeline
 from termex.synth import SynthConfig, generate_corpus
 from tests.conftest import ALL_TERMS, MULTI_TERMS, pair_loss, step_gradients
+from tests.test_crf import log_partition, marginals
 
 T, O = TokenLabel.T, TokenLabel.O
 

@@ -7,8 +7,12 @@ from pathlib import Path
 import pytest
 
 import termex
+from termex import formats
+from termex.cascade import extract_from_document
 from termex.cli import main
-from termex.render import strip_ansi, strip_html
+from termex.corpus import LabeledSentence, TokenLabel
+from termex.render import render_ansi
+from tests.conftest import strip_ansi, strip_html
 
 
 @pytest.fixture()
@@ -264,6 +268,119 @@ class TestExtract:
             "--classifier", cli_models["classifier"],
             "--crf", cli_models["crf"],
         ]) == 2
+
+
+    def extract(self, cli_models, corpus, *flags):
+        return main([
+            "extract", "--input", str(corpus),
+            "--embeddings", cli_models["embeddings"],
+            "--classifier", cli_models["classifier"],
+            "--crf", cli_models["crf"],
+            *flags,
+        ])
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "ansi", "html"])
+    def test_stdout_equals_out_file(self, cli_models, synth_corpus, tmp_path, capsys, fmt):
+        corpus, gold = synth_corpus
+        for extra in ([], ["--gold", str(gold)]):
+            out = tmp_path / f"extract.{fmt}"
+            capsys.readouterr()
+            assert self.extract(cli_models, corpus, "--format", fmt, *extra) == 0
+            stdout = capsys.readouterr().out
+            assert self.extract(cli_models, corpus, "--format", fmt, *extra, "--out", str(out)) == 0
+            assert stdout
+            assert out.read_bytes() == stdout.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt,expected", [("jsonl", ""), ("ansi", "\n"), ("html", "\n")])
+    def test_empty_corpus_bytes(self, cli_models, tmp_path, capsys, fmt, expected):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_bytes(b"")
+        out = tmp_path / f"empty.{fmt}"
+        capsys.readouterr()
+        assert self.extract(cli_models, corpus, "--format", fmt) == 0
+        assert capsys.readouterr().out == expected
+        assert self.extract(cli_models, corpus, "--format", fmt, "--out", str(out)) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_gold_is_matched_per_document(self, cli_models, small_run, synth_corpus, tmp_path):
+        """Over a multi-document corpus, each document renders with its own
+        gold; every first sentence carries a term the tagger cannot find."""
+        corpus, gold_path = synth_corpus
+        docs = formats.read_corpus_jsonl(corpus)
+        gold = formats.read_conll(gold_path)
+        gold = [
+            LabeledSentence.from_token_labels(
+                g.sentence, (TokenLabel.T,) + g.token_labels[1:]
+            ) if g.sentence.index == 0 else g
+            for g in gold
+        ]
+        marked = tmp_path / "marked.tsv"
+        formats.write_conll(marked, gold)
+        out = tmp_path / "render.ansi"
+        assert len(docs) > 1
+        assert self.extract(
+            cli_models, corpus, "--format", "ansi", "--gold", str(marked), "--out", str(out)
+        ) == 0
+        expected = "\n".join(
+            render_ansi(
+                doc,
+                extract_from_document(doc, small_run.models),
+                [g for g in gold if g.sentence.doc_id == doc.id],
+            )
+            for doc in docs
+        ) + "\n"
+        rendered = out.read_text(encoding="utf-8")
+        assert rendered == expected
+        assert "\x1b[37;41m" in rendered
+
+    def test_mismatched_gold_exits_2_without_traceback(self, cli_models, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "d1", "text": "We use Redis."}) + "\n")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(
+            "-DOCSTART- d1\nWe\tO\nalso\tO\nuse\tO\nApache\tT\nHive\tT\n.\tO\n\n"
+        )
+        src = str(Path(termex.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "termex.cli", "extract", "--input", str(corpus),
+             "--embeddings", cli_models["embeddings"],
+             "--classifier", cli_models["classifier"],
+             "--crf", cli_models["crf"],
+             "--format", "ansi", "--gold", str(gold)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert "gold sentence 0 of document 'd1' does not match the corpus" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestUnreadFlags:
+    """Each subcommand accepts only the flags it reads: --seed and --config
+    belong to train and pipeline, and --seed also to annotate and synth."""
+
+    ARGS = {
+        "annotate": ["--corpus", "c.jsonl", "--gazetteer", "g.txt", "--out", "o.tsv"],
+        "synth": ["--gazetteer", "g.txt", "--n", "5", "--out-corpus", "c", "--out-gold", "g"],
+        "extract": ["--input", "c", "--embeddings", "e", "--classifier", "c", "--crf", "f"],
+        "evaluate": ["--test", "t", "--embeddings", "e", "--classifier", "c", "--crf", "f"],
+    }
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("extract", ["--seed", "1"]),
+            ("extract", ["--config", "x.ini"]),
+            ("evaluate", ["--seed", "1"]),
+            ("evaluate", ["--config", "x.ini"]),
+            ("annotate", ["--config", "x.ini"]),
+            ("synth", ["--config", "x.ini"]),
+        ],
+    )
+    def test_removed_flag_is_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.ARGS[command], *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestEvaluate:

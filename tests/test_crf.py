@@ -12,17 +12,19 @@ from termex.crf import (
     CrfConfig,
     CrfModel,
     PotentialTable,
+    _LABEL_INDEX,
+    _forward,
+    _log_z,
+    _path_scores,
+    _posteriors,
     _text_sums,
     lbfgs_maximize,
     load_crf,
-    log_partition,
-    marginals,
     potentials,
     prepare_dataset,
     regularized_log_likelihood_and_gradient,
     save_crf,
     sentence_potentials,
-    sequence_log_prob,
     train_crf,
     viterbi,
     viterbi_from_table,
@@ -88,6 +90,30 @@ def enumeration_argmax(scores):
         if scores[states] > scores[best]:
             best = states
     return best
+
+
+def log_partition(table):
+    """log Z of one table, through the forward pass that training runs."""
+    return float(_log_z(_forward(table.start[None], table.steps[None]))[0])
+
+
+def sequence_log_prob(table, labels):
+    """Normalized log-probability of one label sequence, through training's
+    path scores; always <= 0."""
+    if len(labels) != len(table):
+        raise LengthMismatchError(
+            f"{len(labels)} labels for a table of length {len(table)}"
+        )
+    states = np.array([[_LABEL_INDEX[l] for l in labels]])
+    path = _path_scores(table.start[None], table.steps[None], states)[0]
+    return float(path) - log_partition(table)
+
+
+def marginals(table):
+    """Node (L, 2) and edge (L-1, 2, 2) marginals of one table, through
+    training's forward-backward."""
+    _, node, edge = _posteriors(table.start[None], table.steps[None])
+    return node[0], edge[0]
 
 
 def reference_potentials(model, features_per_position):

@@ -1,6 +1,7 @@
 from termex.cascade import Extraction, extract_from_document
 from termex.corpus import Document, annotate, split_document
-from termex.render import render_ansi, render_html, strip_ansi, strip_html
+from termex.render import render_ansi, render_html
+from tests.conftest import strip_ansi, strip_html
 
 
 def test_no_positives_ansi_is_identity():
