@@ -59,9 +59,9 @@ class PipelineModels:
                 f"classifier expects dim {self.classifier.d}, "
                 f"embeddings provide {self.embedding.dim}"
             )
-        c, vectors = self.classifier, self.embedding.input_vectors
-        hidden = vectors @ c.projection.T if c.use_hidden else vectors
-        self.word_logits = list(map(tuple, (hidden @ c.output_weights.T).tolist()))
+        c = self.classifier
+        logits = self.embedding.input_vectors @ c.output_weights.T
+        self.word_logits = list(map(tuple, logits.tolist()))
         self.bias = tuple(c.bias.tolist())
 
 

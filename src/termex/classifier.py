@@ -1,5 +1,5 @@
 """Stage-I sentence classifier: softmax cross-entropy over averaged sentence
-vectors, with an optional trained hidden projection."""
+vectors, with no hidden layer."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import (
 )
 
 MAGIC = b"TXCLS"
-VERSION = 1
+VERSION = 2
 
 # Probability/logit index 0 is the positive class.
 CLASS_ORDER = (SentenceLabel.CONTAINS_TECH, SentenceLabel.NO_TECH)
@@ -31,18 +31,12 @@ Example = tuple[SentenceVector, SentenceLabel]
 
 @dataclass
 class ClassifierModel:
-    projection: np.ndarray  # (h, d); the identity, and not applied, unless use_hidden
-    output_weights: np.ndarray  # (2, h)
+    output_weights: np.ndarray  # (2, d)
     bias: np.ndarray  # (2,)
-    use_hidden: bool = False
 
     @property
     def d(self) -> int:
-        return self.projection.shape[1]
-
-    @property
-    def h(self) -> int:
-        return self.projection.shape[0]
+        return self.output_weights.shape[1]
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,6 @@ class ClassifierConfig:
     learning_rate: float = 1.0
     l2: float = 0.0
     seed: int = 0
-    use_hidden: bool = False
     batch_size: int = 32
 
     def validate(self) -> None:
@@ -71,14 +64,9 @@ class ClassifierConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def new_model(d: int, use_hidden: bool = False, seed: int = 0) -> ClassifierModel:
+def new_model(d: int, seed: int = 0) -> ClassifierModel:
     rng = np.random.default_rng(seed)
-    return ClassifierModel(
-        projection=np.eye(d),
-        output_weights=rng.uniform(-0.01, 0.01, size=(2, d)),
-        bias=np.zeros(2),
-        use_hidden=use_hidden,
-    )
+    return ClassifierModel(rng.uniform(-0.01, 0.01, size=(2, d)), np.zeros(2))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -100,16 +88,12 @@ def _stack(batch: Sequence[Example], d: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _forward(model: ClassifierModel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # An untrained projection is the identity, and x @ I == x exactly for
-    # finite x, so skipping it changes no bit.
-    hidden = xs @ model.projection.T if model.use_hidden else xs
-    logits = hidden @ model.output_weights.T + model.bias
-    return hidden, logits
+def _forward(model: ClassifierModel, xs: np.ndarray) -> np.ndarray:
+    return xs @ model.output_weights.T + model.bias
 
 
 def _mean_nll(model: ClassifierModel, xs: np.ndarray, ys: np.ndarray) -> float:
-    _, logits = _forward(model, xs)
+    logits = _forward(model, xs)
     logp = logits - _logsumexp_rows(logits)
     return float(-logp[np.arange(len(ys)), ys].mean())
 
@@ -131,10 +115,10 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Regularized loss and its exact gradients for the trained parameters.
 
-    The L2 penalty (l2/2)*||W||^2 covers output_weights, and the projection
-    when it is trained; the bias is never regularized."""
+    The L2 penalty (l2/2)*||W||^2 covers output_weights; the bias is never
+    regularized."""
     n = len(ys)
-    hidden, logits = _forward(model, xs)
+    logits = _forward(model, xs)
     logp = logits - _logsumexp_rows(logits)
     value = -logp[np.arange(n), ys].mean()
 
@@ -144,14 +128,10 @@ def loss_and_gradients(
     dlogits /= n
 
     grads = {
-        "output_weights": dlogits.T @ hidden + l2 * model.output_weights,
+        "output_weights": dlogits.T @ xs + l2 * model.output_weights,
         "bias": dlogits.sum(axis=0),
     }
     value += 0.5 * l2 * float((model.output_weights**2).sum())
-    if model.use_hidden:
-        dhidden = dlogits @ model.output_weights
-        grads["projection"] = dhidden.T @ xs + l2 * model.projection
-        value += 0.5 * l2 * float((model.projection**2).sum())
     return float(value), grads
 
 
@@ -168,7 +148,7 @@ def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
         raise DimensionMismatchError(
             f"sentence vector has dim {vector.values.shape}, model expects {model.d}"
         )
-    _, logits = _forward(model, vector.values[None, :])
+    logits = _forward(model, vector.values[None, :])
     probs = softmax(logits[0])
     label = (
         SentenceLabel.CONTAINS_TECH
@@ -179,7 +159,7 @@ def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
 
 
 def _f_score_against(model: ClassifierModel, xs: np.ndarray, ys: np.ndarray) -> float:
-    _, logits = _forward(model, xs)
+    logits = _forward(model, xs)
     predicted = np.where(logits[:, 0] > logits[:, 1], 0, 1)
     tp = int(((predicted == 0) & (ys == 0)).sum())
     fp = int(((predicted == 0) & (ys == 1)).sum())
@@ -213,7 +193,7 @@ def train_classifier(
         val_xs, val_ys = xs, ys
 
     rng = np.random.default_rng(config.seed)
-    model = new_model(d, use_hidden=config.use_hidden, seed=config.seed)
+    model = new_model(d, seed=config.seed)
     best = _checkpoint(model)
     best_f = -1.0
 
@@ -224,8 +204,6 @@ def train_classifier(
             _, grads = loss_and_gradients(model, xs[rows], ys[rows], config.l2)
             model.output_weights -= config.learning_rate * grads["output_weights"]
             model.bias -= config.learning_rate * grads["bias"]
-            if config.use_hidden:
-                model.projection -= config.learning_rate * grads["projection"]
 
         epoch_loss = _mean_nll(model, xs, ys)
         if not np.isfinite(epoch_loss):
@@ -241,42 +219,35 @@ def train_classifier(
 
 
 def _checkpoint(model: ClassifierModel) -> ClassifierModel:
-    return ClassifierModel(
-        projection=model.projection.copy(),
-        output_weights=model.output_weights.copy(),
-        bias=model.bias.copy(),
-        use_hidden=model.use_hidden,
-    )
+    return ClassifierModel(model.output_weights.copy(), model.bias.copy())
 
 
 def save_classifier(model: ClassifierModel, path: str | Path) -> None:
     with open(path, "wb") as fh:
         modelio.write_header(fh, MAGIC, VERSION)
         modelio.write_u32(fh, model.d)
-        modelio.write_u32(fh, model.h)
-        modelio.write_u32(fh, int(model.use_hidden))
-        modelio.write_matrix(fh, model.projection)
         modelio.write_matrix(fh, model.output_weights)
         modelio.write_matrix(fh, model.bias)
 
 
 def load_classifier(path: str | Path) -> ClassifierModel:
+    """Read a v2 file (d, W, b) or a v1 one (d, h, use_hidden, P, W, b).
+
+    An untrained v1 projection is the identity and is dropped; a trained one
+    has no nonlinearity after it, so it folds into W as W @ P."""
     with modelio.open_model(path) as fh:
-        modelio.read_header(fh, MAGIC, VERSION)
-        d = modelio.read_u32(fh)
-        h = modelio.read_u32(fh)
-        use_hidden = bool(modelio.read_u32(fh))
-        projection = modelio.read_matrix(fh, (h, d))
+        version = modelio.read_header(fh, MAGIC, VERSION)
+        d = h = modelio.read_u32(fh)
+        if version == 1:
+            h = modelio.read_u32(fh)
+            use_hidden = modelio.read_u32(fh)
+            projection = modelio.read_matrix(fh, (h, d))
         output_weights = modelio.read_matrix(fh, (2, h))
         bias = modelio.read_matrix(fh, (2,))
         modelio.read_end(fh)
-    if not use_hidden and not (h == d and np.array_equal(projection, np.eye(d))):
-        # _forward skips an untrained projection, so any other matrix here
-        # would be silently ignored.
-        raise ModelFormatError("untrained classifier projection is not the identity")
-    return ClassifierModel(
-        projection=projection,
-        output_weights=output_weights,
-        bias=bias,
-        use_hidden=use_hidden,
-    )
+    if version == 1:
+        if use_hidden:
+            output_weights = output_weights @ projection
+        elif not (h == d and np.array_equal(projection, np.eye(d))):
+            raise ModelFormatError("untrained classifier projection is not the identity")
+    return ClassifierModel(output_weights, bias)

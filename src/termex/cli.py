@@ -136,12 +136,17 @@ def _load_models(args) -> PipelineModels:
 
 
 def cmd_extract(args) -> int:
+    if args.gold and args.format == "jsonl":
+        raise InputDataError("--gold applies to --format ansi and html only")
     models = _load_models(args)
     docs = formats.read_corpus_jsonl(_require(args.input, "corpus file"))
     gold = {}  # doc id -> its gold sentences
     if args.gold:
         for labeled in formats.read_conll(_require(args.gold, "gold TSV")):
             gold.setdefault(labeled.sentence.doc_id, []).append(labeled)
+    missing = sorted(gold.keys() - {doc.id for doc in docs})
+    if missing:
+        raise InputDataError(f"gold document {missing[0]!r} is not in the corpus")
 
     per_doc = ((doc, extract_from_document(doc, models)) for doc in docs)
     if args.format == "jsonl":

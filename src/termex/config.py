@@ -54,9 +54,9 @@ def default_config_path() -> str | None:
     return os.environ.get(ENV_CONFIG)
 
 
-# A stage section holds the int, float and bool fields of its configs (the
-# CRF's feature config is flattened into [crf]); the seeds come from [main].
-_CASTS = {"int": int, "float": float, "bool": bool}
+# A stage section holds the int and float fields of its configs (the CRF's
+# feature config is flattened into [crf]); the seeds come from [main].
+_CASTS = {"int": int, "float": float}
 _STAGES = {
     "embeddings": (SkipgramConfig,),
     "classifier": (ClassifierConfig,),
@@ -96,13 +96,6 @@ def _get(values: dict[str, str], key: str, cast, fallback):
     if key not in values:
         return fallback
     try:
-        if cast is bool:
-            text = values[key].strip().lower()
-            if text in ("1", "true", "yes", "on"):
-                return True
-            if text in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(text)
         return cast(values[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from exc

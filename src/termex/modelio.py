@@ -51,13 +51,15 @@ def write_header(fh: BinaryIO, magic: bytes, version: int) -> None:
     fh.write(struct.pack("<I", version))
 
 
-def read_header(fh: BinaryIO, magic: bytes, version: int) -> None:
+def read_header(fh: BinaryIO, magic: bytes, version: int) -> int:
+    """Check the magic and return the file's version, one of 1..version."""
     got = _read_exact(fh, len(magic))
     if got != magic:
         raise ModelFormatError(f"bad magic {got!r}, expected {magic!r}")
     (got_version,) = struct.unpack("<I", _read_exact(fh, 4))
-    if got_version != version:
-        raise ModelFormatError(f"unsupported version {got_version}, expected {version}")
+    if not 1 <= got_version <= version:
+        raise ModelFormatError(f"unsupported version {got_version}, expected 1..{version}")
+    return got_version
 
 
 def write_u32(fh: BinaryIO, value: int) -> None:

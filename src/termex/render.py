@@ -43,8 +43,11 @@ def _render(
     styles = [_NONE] * len(raw)
     by_index = {e.sentence_index: e for e in extractions}
     gold_by_index = {g.sentence.index: g for g in gold or ()}
+    sentences = split_document(doc)
+    if max(gold_by_index, default=-1) >= len(sentences):
+        raise InputDataError(f"gold document {doc.id!r} has more sentences than the corpus")
 
-    for sentence in split_document(doc):
+    for sentence in sentences:
         extraction = by_index.get(sentence.index)
         if extraction is None:
             continue

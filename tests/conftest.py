@@ -1,5 +1,6 @@
 import html
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -61,6 +62,15 @@ def strip_ansi(text: str) -> str:
 def strip_html(text: str) -> str:
     """The text of an HTML rendering, without its tags and entities."""
     return html.unescape(re.sub(r"<[^>]*>", "", text))
+
+
+def classifier_v1_bytes(projection, output_weights, bias, use_hidden: int) -> bytes:
+    """A classifier.bin in the v1 layout: d, h, use_hidden, P (h x d), W, b."""
+    h, d = projection.shape
+    header = b"TXCLS" + struct.pack("<IIII", 1, d, h, use_hidden)
+    return header + b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (projection, output_weights, bias)
+    )
 
 
 def fast_config(gazetteer_path: str, n_sentences: int = 400, seed: int = 0) -> RunConfig:

@@ -5,8 +5,10 @@ lines as they complete."""
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +56,8 @@ from termex.embeddings import (
     train_skipgram,
     window_mask,
 )
-from termex.evaluation import ConfusionCounts, f_score
+from termex.corpus import load_gazetteer
+from termex.evaluation import ConfusionCounts, evaluate_end_to_end, evaluate_stage1, f_score
 from termex.features import FeatureIndex, sentence_features
 from termex.pipeline import run_pipeline
 from termex.synth import SynthConfig, generate_corpus
@@ -233,9 +236,8 @@ def test_criterion_4_classifier():
     def body():
         # gradient check
         rng = np.random.default_rng(40)
-        model = new_model(4, use_hidden=True, seed=1)
+        model = new_model(4, seed=1)
         model.output_weights = rng.normal(size=(2, 4)) * 0.4
-        model.projection = rng.normal(size=(4, 4)) * 0.4
         model.bias = rng.normal(size=2) * 0.2
         xs = rng.normal(size=(6, 4))
         ys = rng.integers(0, 2, size=6)
@@ -244,7 +246,6 @@ def test_criterion_4_classifier():
         for name, arr in (
             ("output_weights", model.output_weights),
             ("bias", model.bias),
-            ("projection", model.projection),
         ):
             numeric = _fd_grad(value_fn, arr, eps=1e-5)
             rel = np.abs(grads[name] - numeric) / (np.abs(numeric) + 1e-10)
@@ -264,11 +265,7 @@ def test_criterion_4_classifier():
         assert all(predict(trained, v).label is y for v, y in train)
 
         # zero model: loss ln 2 within 1e-9, probabilities exactly (0.5, 0.5)
-        zero = ClassifierModel(
-            projection=np.eye(dim),
-            output_weights=np.zeros((2, dim)),
-            bias=np.zeros(2),
-        )
+        zero = ClassifierModel(np.zeros((2, dim)), np.zeros(2))
         assert abs(loss(zero, train) - math.log(2)) < 1e-9
         p = predict(zero, train[0][0])
         assert np.allclose(p.probabilities, [0.5, 0.5], atol=1e-12)
@@ -483,3 +480,47 @@ def test_criterion_9_serialization(full_run, tmp_path):
             assert viterbi(models.crf, feats) == viterbi(reloaded.crf, feats)
 
     check(9, "model serialization round-trip", body)
+
+
+DEMO_GAZETTEER = Path(__file__).resolve().parent.parent / "demo" / "gazetteer.txt"
+
+
+def test_criterion_10_held_out_terms(tmp_path):
+    """The models find terms they never trained on.
+
+    The 50 demo terms are shuffled with random.Random(1); criterion 1's
+    pipeline (seed 0) trains on the first 40, and 5,000 news sentences that
+    generate_corpus builds from the other 10 (seed 99) are the test set. Over
+    the splits of random.Random(1), (2) and (3), sentence F measured 0.897,
+    0.900 and 0.953, and end-to-end token F 0.942, 0.926 and 0.971. This is
+    split 1, the lowest sentence F. The floors sit ~0.05 below the lowest
+    value of each: 0.85 (against 0.897) and 0.88 (against 0.926). An unseen
+    term is out of the embeddings' vocabulary, so the gate sees only the
+    template words; its recall (0.81 here) is what holds sentence F down."""
+    from termex.config import RunConfig
+
+    lines = DEMO_GAZETTEER.read_text(encoding="utf-8").splitlines()
+    terms = [line for line in lines if line.strip() and not line.startswith("#")]
+    random.Random(1).shuffle(terms)
+    seen, held_out = terms[:40], terms[40:]
+
+    def body():
+        assert len(terms) == 50
+        gazetteer_path = tmp_path / "seen.txt"
+        gazetteer_path.write_text("\n".join(seen) + "\n", encoding="utf-8")
+        cfg = RunConfig()
+        cfg.seed = 0
+        cfg.gazetteer_path = str(gazetteer_path)
+        cfg.synth_sentences = 2000
+        models = run_pipeline(cfg, workdir=tmp_path / "run").models
+        _, test = generate_corpus(
+            load_gazetteer("\n".join(held_out)), SynthConfig(n_sentences=5000, seed=99)
+        )
+        sentence = evaluate_stage1(models, test)
+        end_to_end = evaluate_end_to_end(models, test)
+        for name, r in (("sentence", sentence), ("end-to-end", end_to_end)):
+            print(f"  held-out {name} P/R/F = {r.precision:.3f} / {r.recall:.3f} / {r.f_score:.3f}")
+        assert sentence.f_score >= 0.85
+        assert end_to_end.f_score >= 0.88
+
+    check(10, "held-out terms", body)

@@ -13,7 +13,7 @@ from termex.cascade import (
     spans_from_labels,
     stage1_logits,
 )
-from termex.classifier import ClassifierModel, _forward, loss_and_gradients, predict
+from termex.classifier import ClassifierModel, _forward, predict
 from termex.corpus import Document, Sentence, SentenceLabel, Token, TokenLabel, split_document
 from termex.embeddings import EmbeddingModel, Vocabulary, embed_sentence
 from termex.errors import LengthMismatchError, ModelMismatchError
@@ -53,11 +53,7 @@ class TestSpansFromLabels:
 class TestPipelineModels:
     def test_dimension_mismatch_rejected(self, small_run):
         models = small_run.models
-        bad = ClassifierModel(
-            projection=np.eye(models.embedding.dim + 1),
-            output_weights=np.zeros((2, models.embedding.dim + 1)),
-            bias=np.zeros(2),
-        )
+        bad = ClassifierModel(np.zeros((2, models.embedding.dim + 1)), np.zeros(2))
         with pytest.raises(ModelMismatchError):
             PipelineModels(
                 embedding=models.embedding, classifier=bad, crf=models.crf
@@ -131,11 +127,7 @@ class TestZeroEvidence:
         """The small run's models behind a classifier whose bias calls every
         sentence positive."""
         dim = small_run.models.embedding.dim
-        eager = ClassifierModel(
-            projection=np.eye(dim),
-            output_weights=np.zeros((2, dim)),
-            bias=np.array([5.0, -5.0]),
-        )
+        eager = ClassifierModel(np.zeros((2, dim)), np.array([5.0, -5.0]))
         return PipelineModels(
             embedding=small_run.models.embedding,
             classifier=eager,
@@ -225,8 +217,7 @@ GATE_WORDS = [".", ",", "$", "node.js"] + [f"w{i}" for i in range(6)]
 
 
 def linear_classifier(output_weights, bias):
-    d = len(output_weights[0])
-    return ClassifierModel(np.eye(d), np.array(output_weights, float), np.array(bias, float))
+    return ClassifierModel(np.array(output_weights, float), np.array(bias, float))
 
 
 def gate_models(vectors, classifier, words=GATE_WORDS):
@@ -249,36 +240,20 @@ def reference_logits(models, sentence, rows):
     """classifier._forward on embed_sentence's mean vector, and each logit's
     tolerance: 1e-12 * (1 + the same sum taken over absolute values)."""
     c = models.classifier
-    _, logits = _forward(c, embed_sentence(models.embedding, sentence).values[None, :])
+    logits = _forward(c, embed_sentence(models.embedding, sentence).values[None, :])
     magnitude = np.abs(models.embedding.input_vectors[rows]).mean(axis=0)
-    if c.use_hidden:
-        magnitude = magnitude @ np.abs(c.projection).T
     magnitude = magnitude @ np.abs(c.output_weights).T + np.abs(c.bias)
     return logits[0], 1e-12 * (1 + magnitude)
 
 
 @st.composite
 def gate_cases(draw):
-    """Random vectors, a random classifier (with, when use_hidden, an h x d
-    projection, h == d or not, trained by a few SGD steps) and a sentence of
-    vocabulary words, repeats and OOV words."""
+    """Random vectors, a random classifier and a sentence of vocabulary words,
+    repeats and OOV words."""
     d = draw(st.integers(1, 6))
-    use_hidden = draw(st.booleans())
-    h = draw(st.integers(1, 6)) if use_hidden else d
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
-    classifier = ClassifierModel(
-        projection=rng.normal(size=(h, d)) if use_hidden else np.eye(d),
-        output_weights=rng.normal(size=(2, h)),
-        bias=rng.normal(size=2),
-        use_hidden=use_hidden,
-    )
-    if use_hidden:
-        xs, ys = rng.normal(size=(8, d)), rng.integers(0, 2, size=8)
-        for _ in range(3):
-            _, grads = loss_and_gradients(classifier, xs, ys)
-            for name, grad in grads.items():
-                getattr(classifier, name)[...] -= 0.5 * grad
+    classifier = ClassifierModel(rng.normal(size=(2, d)), rng.normal(size=2))
     vectors = rng.normal(scale=scale, size=(len(GATE_WORDS), d))
     words = draw(st.lists(st.sampled_from(GATE_WORDS + ["zqxv", "W1", "NODE.JS"]), max_size=12))
     return gate_models(vectors, classifier), sentence_of(words)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from termex.classifier import (
     ClassifierConfig,
     ClassifierModel,
-    _forward,
     loss,
     loss_and_gradients,
     load_classifier,
@@ -29,6 +28,7 @@ from termex.embeddings import (
 )
 from termex.errors import ConfigError, DimensionMismatchError, ModelFormatError
 from termex.features import CoarsePosTag, _tag_token
+from tests.conftest import classifier_v1_bytes
 
 
 def ex(values, label):
@@ -36,9 +36,7 @@ def ex(values, label):
 
 
 def zero_model(d):
-    return ClassifierModel(
-        projection=np.eye(d), output_weights=np.zeros((2, d)), bias=np.zeros(2)
-    )
+    return ClassifierModel(np.zeros((2, d)), np.zeros(2))
 
 
 def toy_set(dim=10, n_per_class=100, sigma=0.1, seed=11):
@@ -70,17 +68,12 @@ class TestLoss:
     def test_quarter_probability(self):
         # bias only: softmax(b)[0] = 0.25 for the true label
         b = np.array([0.0, math.log(3.0)])
-        model = ClassifierModel(
-            projection=np.eye(2), output_weights=np.zeros((2, 2)), bias=b
-        )
+        model = ClassifierModel(np.zeros((2, 2)), b)
         batch = [ex([0.0, 0.0], SentenceLabel.CONTAINS_TECH)]
         assert abs(loss(model, batch) - math.log(4)) < 1e-9
 
     def test_perfect_fit_loss_zero(self):
-        model = ClassifierModel(
-            projection=np.eye(1), output_weights=np.array([[60.0], [-60.0]]),
-            bias=np.zeros(2),
-        )
+        model = ClassifierModel(np.array([[60.0], [-60.0]]), np.zeros(2))
         batch = [ex([1.0], SentenceLabel.CONTAINS_TECH),
                  ex([-1.0], SentenceLabel.NO_TECH)]
         assert loss(model, batch) < 1e-9
@@ -103,15 +96,13 @@ class TestLoss:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("use_hidden,l2", [(False, 0.0), (True, 0.0), (True, 0.3)])
-    def test_finite_differences(self, use_hidden, l2):
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    def test_finite_differences(self, l2):
         rng = np.random.default_rng(5)
         d = 4
-        model = new_model(d, use_hidden=use_hidden, seed=3)
+        model = new_model(d, seed=3)
         model.output_weights = rng.normal(size=(2, d)) * 0.4
         model.bias = rng.normal(size=2) * 0.2
-        if use_hidden:
-            model.projection = rng.normal(size=(d, d)) * 0.4
         xs = rng.normal(size=(6, d))
         ys = rng.integers(0, 2, size=6)
         _, grads = loss_and_gradients(model, xs, ys, l2=l2)
@@ -119,8 +110,6 @@ class TestGradients:
         eps = 1e-5
         worst = 0.0
         params = {"output_weights": model.output_weights, "bias": model.bias}
-        if use_hidden:
-            params["projection"] = model.projection
         for name, arr in params.items():
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -143,19 +132,14 @@ class TestPredict:
         assert np.allclose(p.probabilities, [0.5, 0.5])
 
     def test_saturated_logits(self):
-        model = ClassifierModel(
-            projection=np.eye(1), output_weights=np.array([[10.0], [-10.0]]),
-            bias=np.zeros(2),
-        )
+        model = ClassifierModel(np.array([[10.0], [-10.0]]), np.zeros(2))
         p = predict(model, SentenceVector(np.array([1.0]), 1))
         assert p.probabilities[0] > 0.9999
         assert p.label is SentenceLabel.CONTAINS_TECH
 
     def test_zero_input_uses_bias(self):
         bias = np.array([0.4, -0.3])
-        model = ClassifierModel(
-            projection=np.eye(2), output_weights=np.ones((2, 2)), bias=bias
-        )
+        model = ClassifierModel(np.ones((2, 2)), bias)
         p = predict(model, SentenceVector(np.zeros(2), 0))
         assert np.allclose(p.probabilities, softmax(bias))
 
@@ -163,9 +147,7 @@ class TestPredict:
         rng = np.random.default_rng(8)
         for _ in range(20):
             logits = rng.normal(size=2)
-            model = ClassifierModel(
-                projection=np.eye(2), output_weights=np.eye(2), bias=np.zeros(2)
-            )
+            model = ClassifierModel(np.eye(2), np.zeros(2))
             p = predict(model, SentenceVector(logits, 2))
             expected = (
                 SentenceLabel.CONTAINS_TECH
@@ -179,28 +161,13 @@ class TestPredict:
             predict(zero_model(2), SentenceVector(np.zeros(5), 5))
 
     def test_zero_evidence_is_negative(self):
-        model = ClassifierModel(
-            projection=np.eye(2), output_weights=np.zeros((2, 2)),
-            bias=np.array([3.0, -3.0]),
-        )
+        model = ClassifierModel(np.zeros((2, 2)), np.array([3.0, -3.0]))
         assert predict(model, SentenceVector(np.zeros(2), 2)).label is (
             SentenceLabel.CONTAINS_TECH
         )
         p = predict(model, SentenceVector(np.zeros(2), 0))
         assert p.label is SentenceLabel.NO_TECH
         assert np.allclose(p.probabilities, softmax(model.bias))
-
-    def test_forward_skips_identity_bit_for_bit(self):
-        rng = np.random.default_rng(17)
-        for d in (1, 2, 7, 32, 300):
-            model = new_model(d, seed=d)
-            model.bias = rng.normal(size=2)
-            xs = rng.normal(size=(9, d)) * 10.0 ** rng.integers(-8, 8, size=(9, 1))
-            hidden, logits = _forward(model, xs)
-            ref_hidden = xs @ model.projection.T
-            ref_logits = ref_hidden @ model.output_weights.T + model.bias
-            assert hidden.tobytes() == ref_hidden.tobytes()
-            assert logits.tobytes() == ref_logits.tobytes()
 
 
 # Punctuation (PUNCT) first, then symbols and words (SYM, LOWER).
@@ -216,9 +183,7 @@ def evidence_embeddings(dim=4):
 
 def eager_model(d):
     """A classifier whose bias calls every sentence positive."""
-    return ClassifierModel(
-        projection=np.eye(d), output_weights=np.zeros((2, d)), bias=np.array([3.0, -3.0])
-    )
+    return ClassifierModel(np.zeros((2, d)), np.array([3.0, -3.0]))
 
 
 def embed_text(model, text):
@@ -317,13 +282,6 @@ class TestTraining:
 
         assert _f_score_against(model, val_xs, val_ys) == pytest.approx(max(history))
 
-    def test_hidden_layer_trains(self):
-        train = toy_set(n_per_class=30, seed=5)
-        cfg = ClassifierConfig(epochs=30, learning_rate=0.2, seed=0, use_hidden=True)
-        model = train_classifier(train, [], cfg)
-        assert model.use_hidden
-        assert not np.array_equal(model.projection, np.eye(10))
-
     def test_epoch_loss_is_loss_of_the_training_set(self):
         train = toy_set(n_per_class=20, sigma=1.5, seed=14)
         val = toy_set(n_per_class=5, sigma=1.5, seed=15)
@@ -356,18 +314,58 @@ class TestSerialization:
             assert a.label is b.label
             assert np.array_equal(a.probabilities, b.probabilities)
 
+    def test_v2_round_trip_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(4)
+        model = ClassifierModel(rng.normal(size=(2, 5)), rng.normal(size=2))
+        path = tmp_path / "cls.bin"
+        save_classifier(model, path)
+        # magic, version, d, then W and b: no projection is stored.
+        assert path.stat().st_size == 5 + 4 + 4 + 8 * (2 * 5 + 2)
+        loaded = load_classifier(path)
+        assert loaded.output_weights.tobytes() == model.output_weights.tobytes()
+        assert loaded.bias.tobytes() == model.bias.tobytes()
+
+    def test_v1_identity_loads_same_weights(self, tmp_path):
+        rng = np.random.default_rng(5)
+        weights, bias = rng.normal(size=(2, 4)), rng.normal(size=2)
+        path = tmp_path / "cls.bin"
+        path.write_bytes(classifier_v1_bytes(np.eye(4), weights, bias, use_hidden=0))
+        loaded = load_classifier(path)
+        assert loaded.output_weights.tobytes() == weights.tobytes()
+        assert loaded.bias.tobytes() == bias.tobytes()
+
     @pytest.mark.parametrize(
         "projection", [2.0 * np.eye(3), np.eye(3)[::-1].copy(), np.eye(4, 3)]
     )
-    def test_untrained_projection_must_be_identity(self, tmp_path, projection):
-        h = projection.shape[0]
-        model = ClassifierModel(
-            projection=projection, output_weights=np.ones((2, h)), bias=np.zeros(2)
-        )
+    def test_v1_untrained_projection_must_be_identity(self, tmp_path, projection):
+        weights = np.ones((2, projection.shape[0]))
         path = tmp_path / "cls.bin"
-        save_classifier(model, path)
+        path.write_bytes(classifier_v1_bytes(projection, weights, np.zeros(2), use_hidden=0))
         with pytest.raises(ModelFormatError, match="identity"):
             load_classifier(path)
-        model.use_hidden = True
-        save_classifier(model, path)
-        assert np.array_equal(load_classifier(path).projection, projection)
+
+    @pytest.mark.parametrize("h,d", [(3, 3), (5, 3), (2, 6)])
+    def test_v1_trained_projection_folds_into_weights(self, tmp_path, h, d):
+        rng = np.random.default_rng(h * 10 + d)
+        projection = rng.normal(size=(h, d))
+        weights, bias = rng.normal(size=(2, h)), rng.normal(size=2)
+        path = tmp_path / "cls.bin"
+        path.write_bytes(classifier_v1_bytes(projection, weights, bias, use_hidden=1))
+        loaded = load_classifier(path)
+        assert loaded.d == d
+        xs = rng.normal(size=(20, d))
+        got = xs @ loaded.output_weights.T + loaded.bias
+        want = (xs @ projection.T) @ weights.T + bias
+        # The gate's tolerance: 1e-12 times one plus the sum of the absolute
+        # terms the unfolded product adds up.
+        magnitude = 1.0 + (np.abs(xs) @ np.abs(projection).T) @ np.abs(weights).T + np.abs(bias)
+        assert np.all(np.abs(got - want) <= 1e-12 * magnitude)
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        path = tmp_path / "cls.bin"
+        save_classifier(ClassifierModel(np.zeros((2, 2)), np.zeros(2)), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:5] + version.to_bytes(4, "little") + data[9:])
+        with pytest.raises(ModelFormatError, match="unsupported version"):
+            load_classifier(path)

@@ -282,7 +282,7 @@ class TestExtract:
     @pytest.mark.parametrize("fmt", ["jsonl", "ansi", "html"])
     def test_stdout_equals_out_file(self, cli_models, synth_corpus, tmp_path, capsys, fmt):
         corpus, gold = synth_corpus
-        for extra in ([], ["--gold", str(gold)]):
+        for extra in ([], ["--gold", str(gold)])[: 1 if fmt == "jsonl" else 2]:
             out = tmp_path / f"extract.{fmt}"
             capsys.readouterr()
             assert self.extract(cli_models, corpus, "--format", fmt, *extra) == 0
@@ -333,25 +333,70 @@ class TestExtract:
         assert rendered == expected
         assert "\x1b[37;41m" in rendered
 
-    def test_mismatched_gold_exits_2_without_traceback(self, cli_models, tmp_path):
+    def extract_with_gold(self, cli_models, tmp_path, gold_text, fmt="ansi", models=None):
+        """Run `termex extract --gold` in a subprocess over the one-sentence
+        corpus "We use Redis." (document d1)."""
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps({"id": "d1", "text": "We use Redis."}) + "\n")
         gold = tmp_path / "gold.tsv"
-        gold.write_text(
-            "-DOCSTART- d1\nWe\tO\nalso\tO\nuse\tO\nApache\tT\nHive\tT\n.\tO\n\n"
-        )
+        gold.write_text(gold_text)
+        models = {**cli_models, **(models or {})}
         src = str(Path(termex.__file__).resolve().parent.parent)
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "termex.cli", "extract", "--input", str(corpus),
-             "--embeddings", cli_models["embeddings"],
-             "--classifier", cli_models["classifier"],
-             "--crf", cli_models["crf"],
-             "--format", "ansi", "--gold", str(gold)],
+             "--embeddings", models["embeddings"],
+             "--classifier", models["classifier"],
+             "--crf", models["crf"],
+             "--format", fmt, "--gold", str(gold)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+
+    def test_mismatched_gold_exits_2_without_traceback(self, cli_models, tmp_path):
+        proc = self.extract_with_gold(
+            cli_models, tmp_path,
+            "-DOCSTART- d1\nWe\tO\nalso\tO\nuse\tO\nApache\tT\nHive\tT\n.\tO\n\n",
         )
         assert proc.returncode == 2
         assert "gold sentence 0 of document 'd1' does not match the corpus" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_gold_with_jsonl_exits_2_before_models_load(self, cli_models, tmp_path):
+        # The gold TSV would not match the corpus, and the classifier file is
+        # junk: the format check comes first.
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(b"garbage")
+        proc = self.extract_with_gold(
+            cli_models, tmp_path,
+            "-DOCSTART- d1\nWe\tO\nalso\tO\nuse\tO\nApache\tT\nHive\tT\n.\tO\n\n",
+            fmt="jsonl", models={"classifier": str(junk)},
+        )
+        assert proc.returncode == 2
+        assert "--gold applies to --format ansi and html only" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_gold_document_missing_from_corpus_exits_2(self, cli_models, tmp_path):
+        proc = self.extract_with_gold(
+            cli_models, tmp_path,
+            "-DOCSTART- d1\nWe\tO\nuse\tO\nRedis\tT\n.\tO\n\n"
+            "-DOCSTART- zz\nWe\tO\nuse\tO\nRedis\tT\n.\tO\n\n",
+        )
+        assert proc.returncode == 2
+        assert "gold document 'zz' is not in the corpus" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_gold_sentence_past_document_end_exits_2(self, cli_models, tmp_path):
+        proc = self.extract_with_gold(
+            cli_models, tmp_path,
+            "-DOCSTART- d1\nWe\tO\nuse\tO\nRedis\tT\n.\tO\n\n"
+            "It\tO\nran\tO\n.\tO\n\n",
+            fmt="html",
+        )
+        assert proc.returncode == 2
+        assert "gold document 'd1' has more sentences than the corpus" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestUnreadFlags:
@@ -444,6 +489,7 @@ class TestPipeline:
             ("main", "ratios = 0.5 0.5 0.5", "ratios must sum to 1"),
             ("main", "ratios = a b c", "bad value for 'ratios'"),
             ("main", "ratios = nan nan nan", "ratios must be three positive numbers"),
+            ("classifier", "use_hidden = 0", "unknown key 'use_hidden' in config section [classifier]"),
         ],
     )
     def test_bad_feature_config_exits_2_without_traceback(

@@ -35,17 +35,24 @@ class TestLoadRunConfig:
             "[embeddings]\ndim = 7\nwindow = 3\nnegatives = 2\nepochs = 4\n"
             "learning_rate = 0.5\nmin_count = 2\n"
             "[classifier]\nepochs = 9\nlearning_rate = 0.25\nl2 = 0.125\n"
-            "use_hidden = on\nbatch_size = 8\n"
+            "batch_size = 8\n"
             "[crf]\nepochs = 11\nl2 = 2.5\nfeature_min_count = 3\n"
             "ngram_min = 1\nngram_max = 6\nwindow = 0\n",
         ))
         assert cfg.embeddings == SkipgramConfig(7, 3, 2, 4, 0.5, 2, seed=6)
-        assert cfg.classifier == ClassifierConfig(9, 0.25, 0.125, 6, True, 8)
+        assert cfg.classifier == ClassifierConfig(9, 0.25, 0.125, 6, 8)
         assert cfg.crf == CrfConfig(11, 2.5, 3, FeatureConfig(1, 6, 0))
 
     def test_unknown_key_names_section_and_key(self, tmp_path):
         path = write(tmp_path, "[embeddings]\nlearning_rat = 9\n")
         with pytest.raises(ConfigError, match=r"'learning_rat'.*\[embeddings\]"):
+            load_run_config(path)
+
+    def test_use_hidden_rejected(self, tmp_path):
+        # Stage I has no hidden layer: a projection without a nonlinearity
+        # adds nothing that W cannot express.
+        path = write(tmp_path, "[classifier]\nuse_hidden = 0\n")
+        with pytest.raises(ConfigError, match=r"'use_hidden'.*\[classifier\]"):
             load_run_config(path)
 
     def test_key_of_another_section_rejected(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from termex import modelio
-from termex.classifier import load_classifier, save_classifier
+from termex.classifier import load_classifier
 from termex.cli import main
 from termex.crf import CrfModel, load_crf, save_crf
 from termex.embeddings import (
@@ -17,6 +17,7 @@ from termex.embeddings import (
 )
 from termex.features import FeatureConfig, FeatureIndex
 from termex.errors import ModelFormatError
+from tests.conftest import classifier_v1_bytes
 
 LOADERS = {
     "embeddings": load_embeddings,
@@ -170,7 +171,7 @@ class TestCorruptModels:
         capsys.readouterr()
         assert failed > 0
 
-    def test_extract_exits_2_on_untrained_non_identity_projection(
+    def test_extract_exits_2_on_v1_untrained_non_identity_projection(
         self, small_run, tmp_path, capsys
     ):
         corpus = tmp_path / "corpus.jsonl"
@@ -179,10 +180,12 @@ class TestCorruptModels:
             encoding="utf-8",
         )
         model = load_classifier(small_run.paths["classifier"])
-        assert not model.use_hidden
-        model.projection[0, 1] = 0.5
+        projection = np.eye(model.d)
+        projection[0, 1] = 0.5
         path = tmp_path / "classifier.bin"
-        save_classifier(model, path)
+        path.write_bytes(
+            classifier_v1_bytes(projection, model.output_weights, model.bias, use_hidden=0)
+        )
         paths = {**small_run.paths, "classifier": str(path)}
         code = main([
             "extract", "--input", str(corpus), "--format", "jsonl",
