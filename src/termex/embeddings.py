@@ -20,14 +20,12 @@ from .errors import (
 from .features import CoarsePosTag, _tag_token
 
 MAGIC = b"TXEMB"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
 class Vocabulary:
     words: list[str]
-    counts: np.ndarray  # int64 corpus frequency per index
-    min_count: int
     index: dict[str, int] = field(init=False)
     punctuation: frozenset[int] = field(init=False)  # ids of PUNCT-tagged words
 
@@ -48,10 +46,14 @@ class Vocabulary:
 
 @dataclass
 class EmbeddingModel:
-    dim: int
+    """The words and their input vectors: all that inference reads."""
+
     vocab: Vocabulary
     input_vectors: np.ndarray  # (|V|, dim)
-    output_vectors: np.ndarray  # (|V|, dim)
+
+    @property
+    def dim(self) -> int:
+        return self.input_vectors.shape[1]
 
     def vector(self, word: str) -> np.ndarray | None:
         idx = self.vocab.lookup(word.casefold())
@@ -91,7 +93,7 @@ class SkipgramConfig:
 
 
 def build_vocab(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:
-    """Case-folded token counts; words under min_count are dropped."""
+    """Case-folded words seen min_count times or more, most frequent first."""
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
     counts: dict[str, int] = {}
@@ -104,11 +106,7 @@ def build_vocab(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:
     )
     if not kept:
         raise EmptyVocabularyError(f"no token reached min_count={min_count}")
-    return Vocabulary(
-        words=[w for w, _ in kept],
-        counts=np.array([c for _, c in kept], dtype=np.int64),
-        min_count=min_count,
-    )
+    return Vocabulary([w for w, _ in kept])
 
 
 def generate_pairs(
@@ -131,9 +129,9 @@ def generate_pairs(
     return pairs
 
 
-def negative_distribution(vocab: Vocabulary) -> np.ndarray:
-    """Unigram^(3/4) sampling weights over vocabulary indices."""
-    weights = vocab.counts.astype(np.float64) ** 0.75
+def negative_distribution(counts: np.ndarray) -> np.ndarray:
+    """Unigram^(3/4) sampling weights from each vocabulary word's corpus count."""
+    weights = counts.astype(np.float64) ** 0.75
     return weights / weights.sum()
 
 
@@ -165,6 +163,13 @@ def sentence_blocks(
         hi = np.searchsorted(positions, positions[last - 1] + window, side="right")
         blocks.append((slice(first, last), slice(int(lo), int(hi))))
     return ids, positions, blocks
+
+
+def pair_count(positions: np.ndarray, window: int) -> int:
+    """The (center, context) pairs of sorted positions: others 1 to window away."""
+    last = positions.searchsorted(positions + window, side="right")
+    first = positions.searchsorted(positions - window)
+    return int((last - first).sum()) - len(positions)
 
 
 def window_mask(centers: np.ndarray, contexts: np.ndarray, window: int) -> np.ndarray:
@@ -244,7 +249,7 @@ def train_skipgram(
     zero; each center draws its own negatives from the unigram^(3/4)
     distribution, once per epoch; the learning rate decays linearly to 1e-4
     of its initial value over the total pair count. Runs are
-    bit-reproducible under a fixed seed."""
+    bit-reproducible under a fixed seed. The model keeps the input vectors only."""
     config.validate()
     corpus = list(corpus)
     if not corpus:
@@ -252,30 +257,29 @@ def train_skipgram(
     vocab = build_vocab(corpus, config.min_count)
     rng = np.random.default_rng(config.seed)
     input_vectors = (rng.random((len(vocab), config.dim)) - 0.5) / config.dim
-    output_vectors = np.zeros((len(vocab), config.dim))
-    model = EmbeddingModel(
-        dim=config.dim,
-        vocab=vocab,
-        input_vectors=input_vectors,
-        output_vectors=output_vectors,
-    )
+    model = EmbeddingModel(vocab, input_vectors)
     if config.epochs == 0:
         return model
 
     # Masks are built per step from positions: storing them all would cost
     # more memory than building them costs time.
     sentences = []
+    every_id = []
     total_pairs = 0
     for sentence in corpus:
-        pairs = len(generate_pairs(vocab, sentence, config.window))
+        ids, positions, blocks = sentence_blocks(vocab, sentence, config.window)
+        every_id.append(ids)
+        pairs = pair_count(positions, config.window)
         if pairs:
-            sentences.append((*sentence_blocks(vocab, sentence, config.window), pairs))
+            sentences.append((ids, positions, blocks, pairs))
             total_pairs += pairs
     if total_pairs == 0:
         return model
-    # The draws of rng.choice(len(vocab), size, p=negative_distribution(vocab)),
+    output_vectors = np.zeros((len(vocab), config.dim))
+    counts = np.bincount(np.concatenate(every_id), minlength=len(vocab))
+    # The draws of rng.choice(len(vocab), size, p=negative_distribution(counts)),
     # without its per-call checks of p.
-    cdf = np.cumsum(negative_distribution(vocab))
+    cdf = np.cumsum(negative_distribution(counts))
     cdf /= cdf[-1]
     total_updates = total_pairs * config.epochs
     done = 0
@@ -332,35 +336,30 @@ def save_embeddings(model: EmbeddingModel, path: str | Path) -> None:
         modelio.write_header(fh, MAGIC, VERSION)
         modelio.write_u32(fh, model.dim)
         modelio.write_u32(fh, len(model.vocab))
-        modelio.write_u32(fh, model.vocab.min_count)
-        for word, count in zip(model.vocab.words, model.vocab.counts):
+        for word in model.vocab.words:
             modelio.write_str(fh, word)
-            modelio.write_u64(fh, int(count))
         modelio.write_matrix(fh, model.input_vectors)
-        modelio.write_matrix(fh, model.output_vectors)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingModel:
+    """Read a v2 file, or a v1 one: its min_count, word counts and output
+    vectors are read and checked, then dropped."""
     with modelio.open_model(path) as fh:
-        modelio.read_header(fh, MAGIC, VERSION)
+        version = modelio.read_header(fh, MAGIC, VERSION)
         dim = modelio.read_u32(fh)
         size = modelio.read_u32(fh)
-        min_count = modelio.read_u32(fh)
+        if version == 1:
+            modelio.read_u32(fh)  # min_count
         words = []
-        counts = []
         for _ in range(size):
             words.append(modelio.read_str(fh))
-            counts.append(modelio.read_u64(fh))
+            if version == 1:
+                modelio.read_u64(fh)  # the word's count
         input_vectors = modelio.read_matrix(fh, (size, dim))
-        output_vectors = modelio.read_matrix(fh, (size, dim))
+        if version == 1:
+            modelio.read_matrix(fh, (size, dim))  # output vectors
         modelio.read_end(fh)
-    if max(counts, default=0) > np.iinfo(np.int64).max:
-        raise ModelFormatError("word count out of range in the embedding vocabulary")
-    vocab = Vocabulary(
-        words=words, counts=np.array(counts, dtype=np.int64), min_count=min_count
-    )
+    vocab = Vocabulary(words)
     if len(vocab.index) != size:
         raise ModelFormatError("repeated words in the embedding vocabulary")
-    return EmbeddingModel(
-        dim=dim, vocab=vocab, input_vectors=input_vectors, output_vectors=output_vectors
-    )
+    return EmbeddingModel(vocab, input_vectors)

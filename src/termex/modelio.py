@@ -70,10 +70,6 @@ def read_u32(fh: BinaryIO) -> int:
     return struct.unpack("<I", _read_exact(fh, 4))[0]
 
 
-def write_u64(fh: BinaryIO, value: int) -> None:
-    fh.write(struct.pack("<Q", value))
-
-
 def read_u64(fh: BinaryIO) -> int:
     return struct.unpack("<Q", _read_exact(fh, 8))[0]
 

@@ -42,7 +42,10 @@ def _render(
     raw = doc.text.encode("utf-8")
     styles = [_NONE] * len(raw)
     by_index = {e.sentence_index: e for e in extractions}
-    gold_by_index = {g.sentence.index: g for g in gold or ()}
+    gold = gold or ()
+    gold_by_index = {g.sentence.index: g for g in gold}
+    if len(gold_by_index) < len(gold):
+        raise InputDataError(f"gold document {doc.id!r} gives one sentence index twice")
     sentences = split_document(doc)
     if max(gold_by_index, default=-1) >= len(sentences):
         raise InputDataError(f"gold document {doc.id!r} has more sentences than the corpus")

@@ -73,6 +73,23 @@ def classifier_v1_bytes(projection, output_weights, bias, use_hidden: int) -> by
     )
 
 
+def embeddings_v1_bytes(words, input_vectors, output_vectors, counts, min_count=1) -> bytes:
+    """An embeddings.bin in the v1 layout: dim, |V|, min_count, each word
+    with its u64 count, then the input and output matrices."""
+    size, dim = input_vectors.shape
+    body = b"".join(
+        struct.pack("<I", len(w.encode("utf-8"))) + w.encode("utf-8") + struct.pack("<Q", c)
+        for w, c in zip(words, counts)
+    )
+    return (
+        b"TXEMB" + struct.pack("<IIII", 1, dim, size, min_count) + body
+        + b"".join(
+            np.ascontiguousarray(a, dtype="<f8").tobytes()
+            for a in (input_vectors, output_vectors)
+        )
+    )
+
+
 def fast_config(gazetteer_path: str, n_sentences: int = 400, seed: int = 0) -> RunConfig:
     """Small models that still separate cleanly; keeps fixtures fast."""
     cfg = RunConfig()
@@ -154,13 +171,4 @@ def load_text_vectors(source) -> EmbeddingModel:
     dims = {len(r) for r in rows}
     if len(dims) != 1:
         raise ConfigError(f"inconsistent vector dimensions: {sorted(dims)}")
-    matrix = np.asarray(rows, dtype=np.float64)
-    vocab = Vocabulary(
-        words=words, counts=np.ones(len(words), dtype=np.int64), min_count=1
-    )
-    return EmbeddingModel(
-        dim=matrix.shape[1],
-        vocab=vocab,
-        input_vectors=matrix,
-        output_vectors=np.zeros_like(matrix),
-    )
+    return EmbeddingModel(Vocabulary(words), np.asarray(rows, dtype=np.float64))

@@ -421,7 +421,6 @@ def test_criterion_8_determinism(gazetteer, gazetteer_file, tmp_path):
         e1 = train_skipgram(sentences, emb_cfg)
         e2 = train_skipgram(sentences, emb_cfg)
         assert np.array_equal(e1.input_vectors, e2.input_vectors)
-        assert np.array_equal(e1.output_vectors, e2.output_vectors)
 
         # classifier: bit-identical weights
         examples = [

@@ -138,9 +138,8 @@ class TestZeroEvidence:
     def symbol_models(self, eager_models):
         """The eager models over a vocabulary of punctuation and SYM words."""
         words, dim = [".", ",", "node.js", "$"], eager_models.embedding.dim
-        vocab = Vocabulary(words, np.ones(len(words), dtype=np.int64), min_count=1)
         vectors = np.random.default_rng(4).normal(size=(len(words), dim))
-        embedding = EmbeddingModel(dim, vocab, vectors, np.zeros_like(vectors))
+        embedding = EmbeddingModel(Vocabulary(words), vectors)
         return PipelineModels(embedding, eager_models.classifier, eager_models.crf)
 
     @staticmethod
@@ -221,9 +220,7 @@ def linear_classifier(output_weights, bias):
 
 
 def gate_models(vectors, classifier, words=GATE_WORDS):
-    vectors = np.asarray(vectors, float)
-    vocab = Vocabulary(list(words), np.ones(len(words), dtype=np.int64), min_count=1)
-    embedding = EmbeddingModel(vectors.shape[1], vocab, vectors, np.zeros_like(vectors))
+    embedding = EmbeddingModel(Vocabulary(list(words)), np.asarray(vectors, float))
     return PipelineModels(embedding, classifier, crf=None)
 
 

@@ -175,10 +175,8 @@ EVIDENCE_WORDS = [".", ",", "%", "#", "$", "node.js", "scikit-learn", "kafka"]
 
 
 def evidence_embeddings(dim=4):
-    n = len(EVIDENCE_WORDS)
-    vocab = Vocabulary(words=EVIDENCE_WORDS, counts=np.ones(n, dtype=np.int64), min_count=1)
-    rng = np.random.default_rng(3)
-    return EmbeddingModel(dim, vocab, rng.normal(size=(n, dim)), np.zeros((n, dim)))
+    vectors = np.random.default_rng(3).normal(size=(len(EVIDENCE_WORDS), dim))
+    return EmbeddingModel(Vocabulary(EVIDENCE_WORDS), vectors)
 
 
 def eager_model(d):

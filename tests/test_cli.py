@@ -398,6 +398,20 @@ class TestExtract:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_gold_document_in_two_blocks_exits_2(self, cli_models, tmp_path):
+        # Each block restarts the sentence indices. The second block's
+        # sentence 0 matches the corpus, so keeping only the later block
+        # would hide the first block's mismatch.
+        proc = self.extract_with_gold(
+            cli_models, tmp_path,
+            "-DOCSTART- d1\nWe\tO\nalso\tO\nuse\tO\nApache\tT\nHive\tT\n.\tO\n\n"
+            "-DOCSTART- d1\nWe\tO\nuse\tO\nRedis\tT\n.\tO\n\n",
+        )
+        assert proc.returncode == 2
+        assert "gold document 'd1' gives one sentence index twice" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestUnreadFlags:
     """Each subcommand accepts only the flags it reads: --seed and --config

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 import tracemalloc
 from collections import Counter
 
@@ -19,6 +20,7 @@ from termex.embeddings import (
     generate_pairs,
     load_embeddings,
     negative_distribution,
+    pair_count,
     save_embeddings,
     scatter_add,
     sentence_blocks,
@@ -28,6 +30,7 @@ from termex.embeddings import (
 )
 from termex.errors import ConfigError, EmptyVocabularyError, ModelFormatError
 from tests.conftest import (
+    embeddings_v1_bytes,
     load_text_vectors,
     negative_sampling_loss,
     pair_loss,
@@ -147,6 +150,26 @@ class TestGeneratePairs:
                     assert centers.stop - centers.start <= BLOCK
                 assert got == Counter(generate_pairs(vocab, sentence, window))
         assert most_blocks >= 3
+
+    @given(
+        length=st.integers(0, 3 * BLOCK + 40),
+        oov=st.floats(0.0, 1.0),
+        window=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pair_count_matches_generate_pairs(self, length, oov, window, seed):
+        # Training sizes its learning-rate schedule by pair_count; the OOV
+        # words leave gaps in the positions it counts from.
+        rng = np.random.default_rng(seed)
+        vocab = Vocabulary([f"w{i}" for i in range(20)])
+        words = [
+            f"oov{i}" if rng.random() < oov else f"w{i % 20}"
+            for i in rng.integers(0, 1000, length)
+        ]
+        sentence = make_sentence(words)
+        _, positions, _ = sentence_blocks(vocab, sentence, window)
+        assert pair_count(positions, window) == len(generate_pairs(vocab, sentence, window))
 
 
 class TestGradient:
@@ -291,12 +314,7 @@ class TestGradient:
 
 class TestNegativeSampler:
     def test_unigram_power_distribution(self):
-        vocab = Vocabulary(
-            words=["a", "b", "c"],
-            counts=np.array([100, 10, 1], dtype=np.int64),
-            min_count=1,
-        )
-        probs = negative_distribution(vocab)
+        probs = negative_distribution(np.array([100, 10, 1], dtype=np.int64))
         expected = np.array([100.0, 10.0, 1.0]) ** 0.75
         expected /= expected.sum()
         assert np.allclose(probs, expected)
@@ -312,7 +330,6 @@ class TestTraining:
         corpus = [make_sentence(["a", "b", "c"])]
         cfg = SkipgramConfig(dim=6, window=2, negatives=2, epochs=0, seed=9)
         model = train_skipgram(corpus, cfg)
-        assert np.all(model.output_vectors == 0.0)
         assert np.all(np.abs(model.input_vectors) <= 0.5 / cfg.dim)
 
     def test_deterministic(self):
@@ -321,7 +338,6 @@ class TestTraining:
         a = train_skipgram(corpus, cfg)
         b = train_skipgram(corpus, cfg)
         assert np.array_equal(a.input_vectors, b.input_vectors)
-        assert np.array_equal(a.output_vectors, b.output_vectors)
 
     def test_shared_context_similarity(self):
         corpus = shared_context_corpus(seed=2)
@@ -343,7 +359,6 @@ class TestTraining:
             )
             model = train_skipgram(corpus, cfg)
             assert np.isfinite(model.input_vectors).all()
-            assert np.isfinite(model.output_vectors).all()
 
     @pytest.mark.parametrize(
         "sentences, min_count",
@@ -360,11 +375,11 @@ class TestTraining:
         init = train_skipgram(corpus, dataclasses.replace(cfg, epochs=0))
         assert calls == []
         assert model.input_vectors.tobytes() == init.input_vectors.tobytes()
-        assert model.output_vectors.tobytes() == init.output_vectors.tobytes()
 
     def test_negatives_drawn_per_center(self, monkeypatch):
         # One draw of n x K per sentence and epoch, in corpus order, each
-        # center taking its own row: the draws of rng.choice.
+        # center taking its own row: the draws of rng.choice, weighted by
+        # the corpus counts of the vocabulary's words.
         corpus = shared_context_corpus(seed=4, n=30)
         corpus.append(make_sentence(["alpha"]))  # no pair: draws nothing
         cfg = SkipgramConfig(dim=4, window=1, negatives=3, epochs=2, seed=5)
@@ -379,7 +394,8 @@ class TestTraining:
         model = train_skipgram(corpus, cfg)
         rng = np.random.default_rng(cfg.seed)
         rng.random((len(model.vocab), cfg.dim))
-        probs = negative_distribution(model.vocab)
+        counts = Counter(w for s in corpus for w in s.folded_texts())
+        probs = negative_distribution(np.array([counts[w] for w in model.vocab.words]))
         want = [
             rng.choice(len(model.vocab), size=(len(s.tokens), cfg.negatives), p=probs)
             for _ in range(cfg.epochs)
@@ -417,15 +433,7 @@ class TestTraining:
 
 class TestEmbedSentence:
     def model(self):
-        vocab = Vocabulary(
-            words=["a", "b"], counts=np.array([2, 2], dtype=np.int64), min_count=1
-        )
-        return EmbeddingModel(
-            dim=2,
-            vocab=vocab,
-            input_vectors=np.array([[1.0, 3.0], [3.0, 1.0]]),
-            output_vectors=np.zeros((2, 2)),
-        )
+        return EmbeddingModel(Vocabulary(["a", "b"]), np.array([[1.0, 3.0], [3.0, 1.0]]))
 
     def test_mean_of_vectors(self):
         vec = embed_sentence(self.model(), make_sentence(["a", "b"]))
@@ -460,8 +468,59 @@ class TestSerialization:
         loaded = load_embeddings(path)
         assert loaded.dim == model.dim
         assert loaded.vocab.words == model.vocab.words
-        assert np.array_equal(loaded.input_vectors, model.input_vectors)
-        assert np.array_equal(loaded.output_vectors, model.output_vectors)
+        assert loaded.input_vectors.tobytes() == model.input_vectors.tobytes()
+
+    def test_v2_layout(self, tmp_path):
+        # dim, |V|, each word as a u32 length and its UTF-8 bytes, then the
+        # input matrix: nothing of training.
+        words = ["node.js", "café", "東京", "$"]
+        vectors = np.random.default_rng(2).normal(size=(len(words), 3))
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingModel(Vocabulary(words), vectors), path)
+        data = path.read_bytes()
+        text = sum(4 + len(w.encode("utf-8")) for w in words)
+        assert len(data) == 17 + text + 8 * len(words) * 3
+        assert data[:17] == b"TXEMB" + struct.pack("<III", 2, 3, len(words))
+        loaded = load_embeddings(path)
+        assert loaded.vocab.words == words
+        assert loaded.input_vectors.tobytes() == vectors.tobytes()
+        again = tmp_path / "again.bin"
+        save_embeddings(loaded, again)
+        assert again.read_bytes() == data
+
+    def v1_model(self):
+        words = ["hive", "spark", "ü"]
+        rng = np.random.default_rng(5)
+        inputs, outputs = rng.normal(size=(2, len(words), 4))
+        return words, inputs, outputs
+
+    def test_v1_loads_words_and_input_vectors(self, tmp_path):
+        words, inputs, outputs = self.v1_model()
+        path = tmp_path / "emb-v1.bin"
+        path.write_bytes(embeddings_v1_bytes(words, inputs, outputs, [9, 4, 2], min_count=2))
+        loaded = load_embeddings(path)
+        assert loaded.vocab.words == words
+        assert loaded.dim == 4
+        assert loaded.input_vectors.tobytes() == inputs.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_v1_non_finite_output_vectors(self, tmp_path, bad):
+        words, inputs, outputs = self.v1_model()
+        outputs[2, 1] = bad
+        path = tmp_path / "emb-v1.bin"
+        path.write_bytes(embeddings_v1_bytes(words, inputs, outputs, [9, 4, 2]))
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_versions(self, tmp_path, version):
+        words, inputs, _ = self.v1_model()
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingModel(Vocabulary(words), inputs), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:5] + struct.pack("<I", version) + data[9:])
+        with pytest.raises(ModelFormatError, match="unsupported version"):
+            load_embeddings(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,6 +1,5 @@
 import io
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -90,29 +89,11 @@ class TestLoaderChecks:
         with pytest.raises(ModelFormatError, match="feature config"):
             load_crf(path)
 
-    def embeddings_file(self, tmp_path, counts):
-        model = EmbeddingModel(
-            dim=1,
-            vocab=Vocabulary(words=["x", "y"], counts=np.array(counts), min_count=1),
-            input_vectors=np.zeros((2, 1)),
-            output_vectors=np.zeros((2, 1)),
-        )
-        path = tmp_path / "emb.bin"
-        save_embeddings(model, path)
-        return path
-
     def test_repeated_vocabulary_words(self, tmp_path):
-        path = self.embeddings_file(tmp_path, [3, 3])
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingModel(Vocabulary(["x", "y"]), np.zeros((2, 1))), path)
         path.write_bytes(path.read_bytes().replace(b"y", b"x"))
         with pytest.raises(ModelFormatError, match="repeated"):
-            load_embeddings(path)
-
-    def test_word_count_beyond_int64(self, tmp_path):
-        path = self.embeddings_file(tmp_path, [7, 3])
-        data = path.read_bytes()
-        at = data.index(struct.pack("<Q", 7))
-        path.write_bytes(data[:at] + struct.pack("<Q", 2**63) + data[at + 8 :])
-        with pytest.raises(ModelFormatError, match="out of range"):
             load_embeddings(path)
 
 
