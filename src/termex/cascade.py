@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .classifier import ClassifierModel
 from .corpus import Document, Sentence, Token, TokenLabel, split_document
-from .crf import CrfModel, sentence_potentials, viterbi_from_table
+from .crf import CrfModel, Decoder, sentence_potentials, viterbi_from_table
 from .embeddings import EmbeddingModel
 from .errors import LengthMismatchError, ModelMismatchError
 
@@ -42,8 +42,8 @@ class PipelineStats:
 
 @dataclass
 class PipelineModels:
-    """The cascade's models, read-only once constructed: the gate scores from
-    per-word logits computed here."""
+    """The cascade's models, read-only once constructed. All inference state
+    is built here: the gate's per-word logits and stage II's decoder."""
 
     embedding: EmbeddingModel
     classifier: ClassifierModel
@@ -52,6 +52,7 @@ class PipelineModels:
     # between the sentence mean and the logits, so W.mean(v) == mean(W.v).
     word_logits: list[tuple[float, float]] = field(init=False, repr=False, compare=False)
     bias: tuple[float, float] = field(init=False, repr=False, compare=False)
+    decoder: Decoder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.classifier.d != self.embedding.dim:
@@ -63,6 +64,7 @@ class PipelineModels:
         logits = self.embedding.input_vectors @ c.output_weights.T
         self.word_logits = list(map(tuple, logits.tolist()))
         self.bias = tuple(c.bias.tolist())
+        self.decoder = Decoder(self.crf)
 
 
 def spans_from_labels(
@@ -124,6 +126,11 @@ def gate(models: PipelineModels, sentence: Sentence, stats: PipelineStats | None
     return t > o
 
 
+def tag(models: PipelineModels, sentence: Sentence) -> list[TokenLabel]:
+    """Stage II alone: the CRF's labels for a sentence."""
+    return viterbi_from_table(sentence_potentials(models.decoder, sentence))
+
+
 def gated_labels(
     models: PipelineModels,
     sentence: Sentence,
@@ -134,7 +141,7 @@ def gated_labels(
         return None
     if stats is not None:
         stats.stage2_invocations += 1
-    return viterbi_from_table(sentence_potentials(models.crf, sentence))
+    return tag(models, sentence)
 
 
 def extract_sentence(

@@ -30,17 +30,15 @@ BOS = 0
 TrainingSequence = tuple[Sequence[frozenset[str]], Sequence[TokenLabel]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrfModel:
-    """A trained tagger. Its weights and feature config are read-only once it
-    has decoded: sentence_potentials keeps per-text weight sums on the model."""
+    """A trained tagger: a value, whose inference state a Decoder holds."""
 
     feature_index: FeatureIndex
     emission_weights: np.ndarray  # (F, 2): feature id x current label
     transition_weights: np.ndarray  # (3, 2): previous state x current label
     l2: float = 1.0
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
-    _sums: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -114,15 +112,32 @@ def potentials(
     return PotentialTable(start=start, steps=steps)
 
 
-def _text_sums(model: CrfModel, text: str) -> tuple:
+class Decoder:
+    """Stage II's inference state for one model: one emission weight dict per
+    template prefix, keyed by the raw value after it, and the per-text sums
+    that sentence_potentials keeps under the second-sighting rule of
+    features.admit. PipelineModels builds one per model pair."""
+
+    def __init__(self, model: CrfModel) -> None:
+        self.model = model
+        # A string of no template (none in a trained model) is dropped.
+        self.weights: dict[str, dict] = {prefix: {} for prefix in TEMPLATES}
+        for feature, row in zip(model.feature_index.strings(), model.emission_weights.tolist()):
+            name, _, value = feature.partition("=")
+            self.weights.get(name + "=", {})[value] = tuple(row)
+        self.table: dict[str, tuple] = {}
+        self.seen: set[str] = set()
+
+
+def _text_sums(decoder: Decoder, text: str) -> tuple:
     """A token text's share of node scores: its fold, tag and shape; the
     weight pairs (None if unknown) of the W-1 and W+1 features it fires at
     its neighbours; the summed weights of the features it fires itself (W0,
     P0, SH0, then each known n-gram once, in first-occurrence order, as
     token_parts' NG strings add); and the weight pairs of its LW and RW
     features. Every lookup is by raw value in the template's own dict."""
-    weights = model._sums[0]
-    config = model.feature_config
+    weights = decoder.weights
+    config = decoder.model.feature_config
     word = text.casefold()
     tag, shape = _tag_token(text).value, word_shape(text)
     grams, walk = weights[NG], raw_ngrams(text, config.ngram_min, config.ngram_max)
@@ -143,26 +158,18 @@ def _window_weights(words: Sequence[str], weights: Sequence, known_at: list[int]
     return {words[k]: weights[k] for k in inside}.values() if inside else ()
 
 
-def sentence_potentials(model: CrfModel, sentence: Sentence) -> PotentialTable:
-    """The inference path to potentials(model, sentence_features(sentence)),
+def sentence_potentials(decoder: Decoder, sentence: Sentence) -> PotentialTable:
+    """The inference path to potentials(decoder.model, sentence_features(...)),
     equal within rounding: node scores add per-text weight sums (_text_sums)
-    kept on the model under the second-sighting rule of features.admit.
-    A position adds to its text's local sums its known W-1, W+1, PSEQ and
-    SHSEQ weights, then those of its window's known LW and RW folds."""
+    kept on the decoder. A position adds to its text's local sums its known
+    W-1, W+1, PSEQ and SHSEQ weights, then those of its window's known LW and
+    RW folds."""
     texts = sentence.token_texts()
     if not texts:
         raise ValueError("cannot build potentials for an empty sentence")
-    if model._sums is None:
-        # One weight dict per template prefix, keyed by the raw value after
-        # it; a string of no template (none in a trained model) is dropped.
-        weights: dict[str, dict] = {prefix: {} for prefix in TEMPLATES}
-        for feature, row in zip(model.feature_index.strings(), model.emission_weights.tolist()):
-            name, _, value = feature.partition("=")
-            weights.get(name + "=", {})[value] = tuple(row)
-        model._sums = weights, {}, set()
-    weights, table, seen = model._sums
+    weights, table, seen, model = decoder.weights, decoder.table, decoder.seen, decoder.model
     words, tags, shapes, before, after, local_t, local_o, left, right = zip(
-        *[table.get(text) or admit(table, seen, text, _text_sums(model, text)) for text in texts]
+        *[table.get(text) or admit(table, seen, text, _text_sums(decoder, text)) for text in texts]
     )
     fired = zip(
         (weights[W_BEFORE].get(BOS_WORD), *before), (*after[1:], weights[W_AFTER].get(EOS_WORD)),

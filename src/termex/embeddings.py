@@ -55,10 +55,6 @@ class EmbeddingModel:
     def dim(self) -> int:
         return self.input_vectors.shape[1]
 
-    def vector(self, word: str) -> np.ndarray | None:
-        idx = self.vocab.lookup(word.casefold())
-        return None if idx is None else self.input_vectors[idx]
-
 
 @dataclass(frozen=True)
 class SentenceVector:

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
-from .cascade import PipelineModels, gate, gated_labels, spans_from_labels
+from .cascade import PipelineModels, gate, gated_labels, spans_from_labels, tag
 from .corpus import LabeledSentence, SentenceLabel, TokenLabel
-from .crf import sentence_potentials, viterbi_from_table
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,6 @@ def evaluate_stage1(
     return f_score(_tally(pairs), mode="sentence")
 
 
-def _decode(models: PipelineModels, labeled: LabeledSentence) -> list[TokenLabel]:
-    """Stage II alone, as the cascade decodes a sentence that passes the gate."""
-    return viterbi_from_table(sentence_potentials(models.crf, labeled.sentence))
-
-
 def evaluate_stage2(
     models: PipelineModels, test: Sequence[LabeledSentence]
 ) -> EvalReport:
@@ -90,7 +84,7 @@ def evaluate_stage2(
     for labeled in test:
         if labeled.sentence_label is not SentenceLabel.CONTAINS_TECH:
             raise ValueError("stage-II evaluation expects gold-positive sentences only")
-    pairs = (p for labeled in test for p in _token_pairs(labeled, _decode(models, labeled)))
+    pairs = (p for labeled in test for p in _token_pairs(labeled, tag(models, labeled.sentence)))
     return f_score(_tally(pairs), mode="token")
 
 
@@ -118,7 +112,7 @@ def evaluate_spans(
         }
         predicted = {
             (s.start, s.end)
-            for s in spans_from_labels(labeled.sentence.tokens, _decode(models, labeled))
+            for s in spans_from_labels(labeled.sentence.tokens, tag(models, labeled.sentence))
         }
         tp += len(gold & predicted)
         fp += len(predicted - gold)

@@ -116,7 +116,8 @@ def admit(table: dict, seen: set, key, value):
 
 @functools.lru_cache(maxsize=8)
 def _tables(ngram_min: int, ngram_max: int) -> tuple[dict[str, tuple], set[str]]:
-    """The table of token parts and the seen set for these n-gram bounds."""
+    """The table of token parts and the seen set for these n-gram bounds:
+    training's table. Inference keeps its own sums on crf.Decoder."""
     return {}, set()
 
 

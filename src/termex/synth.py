@@ -42,8 +42,21 @@ ADVERBS = [
     "heavily", "routinely", "publicly", "quietly", "early", "repeatedly",
     "extensively",
 ]
-# Fixed template glue; generation refuses gazetteers that collide with it.
-STRUCTURAL = ["compared", "with", "for", "the", "and"]
+# The slots after a sentence's subject: an upper-case slot names a word pool
+# (a TERM is a gazetteer term, the only T tokens), any other is template glue.
+POSITIVE = (
+    ("VERB", "TERM", "ADVERB"),
+    ("VERB", "TERM"),
+    ("compared", "TERM", "with", "TERM", "ADVERB"),
+    ("VERB", "TERM", "for", "the", "NOUN"),
+)
+DISTRACTOR = (
+    ("VERB", "the", "NOUN"),
+    ("VERB", "the", "NOUN", "ADVERB"),
+    ("VERB", "the", "NOUN", "and", "the", "NOUN"),
+)
+# Generation refuses gazetteers that collide with the glue.
+STRUCTURAL = list(dict.fromkeys(s for t in POSITIVE + DISTRACTOR for s in t if s.islower()))
 
 
 @dataclass(frozen=True)
@@ -92,22 +105,19 @@ def generate_corpus(
     for word in STRUCTURAL:
         if word in reserved:
             raise ConfigError(f"gazetteer entry token {word!r} collides with templates")
-    subjects = _filter_pool(SUBJECTS, reserved, "subject")
-    verbs = _filter_pool(VERBS, reserved, "verb")
-    nouns = _filter_pool(NOUNS, reserved, "noun")
-    adverbs = _filter_pool(ADVERBS, reserved, "adverb")
-    terms = [
-        [t.text for t in tokenize(surface)]
-        for surface in gazetteer.surface_forms.values()
-    ]
+    pools = {
+        "SUBJECT": _filter_pool(SUBJECTS, reserved, "subject"),
+        "VERB": _filter_pool(VERBS, reserved, "verb"),
+        "NOUN": _filter_pool(NOUNS, reserved, "noun"),
+        "ADVERB": _filter_pool(ADVERBS, reserved, "adverb"),
+        "TERM": [[t.text for t in tokenize(s)] for s in gazetteer.surface_forms.values()],
+    }
 
     rng = random.Random(config.seed)
-    planned: list[tuple[list[str], list[bool]]] = []
-    for _ in range(config.n_sentences):
-        if rng.random() < config.positive_rate:
-            planned.append(_positive_sentence(rng, subjects, verbs, nouns, adverbs, terms))
-        else:
-            planned.append(_distractor_sentence(rng, subjects, verbs, nouns, adverbs))
+    planned = [
+        _sentence(rng, POSITIVE if rng.random() < config.positive_rate else DISTRACTOR, pools)
+        for _ in range(config.n_sentences)
+    ]
 
     docs: list[Document] = []
     gold: list[LabeledSentence] = []
@@ -133,57 +143,17 @@ def generate_corpus(
     return docs, gold
 
 
-def _emit(words: list[str], mask: list[bool], text: str, is_term: bool = False) -> None:
-    words.append(text)
-    mask.append(is_term)
-
-
-def _emit_term(words: list[str], mask: list[bool], term: list[str]) -> None:
-    for tok in term:
-        _emit(words, mask, tok, is_term=True)
-
-
-def _positive_sentence(rng, subjects, verbs, nouns, adverbs, terms):
-    words: list[str] = []
-    mask: list[bool] = []
-    shape = rng.randrange(4)
-    _emit(words, mask, rng.choice(subjects))
-    if shape == 0:
-        _emit(words, mask, rng.choice(verbs))
-        _emit_term(words, mask, rng.choice(terms))
-        _emit(words, mask, rng.choice(adverbs))
-    elif shape == 1:
-        _emit(words, mask, rng.choice(verbs))
-        _emit_term(words, mask, rng.choice(terms))
-    elif shape == 2:
-        _emit(words, mask, "compared")
-        _emit_term(words, mask, rng.choice(terms))
-        _emit(words, mask, "with")
-        _emit_term(words, mask, rng.choice(terms))
-        _emit(words, mask, rng.choice(adverbs))
-    else:
-        _emit(words, mask, rng.choice(verbs))
-        _emit_term(words, mask, rng.choice(terms))
-        _emit(words, mask, "for")
-        _emit(words, mask, "the")
-        _emit(words, mask, rng.choice(nouns))
-    _emit(words, mask, ".")
-    return words, mask
-
-
-def _distractor_sentence(rng, subjects, verbs, nouns, adverbs):
-    words: list[str] = []
-    mask: list[bool] = []
-    shape = rng.randrange(3)
-    _emit(words, mask, rng.choice(subjects))
-    _emit(words, mask, rng.choice(verbs))
-    _emit(words, mask, "the")
-    _emit(words, mask, rng.choice(nouns))
-    if shape == 1:
-        _emit(words, mask, rng.choice(adverbs))
-    elif shape == 2:
-        _emit(words, mask, "and")
-        _emit(words, mask, "the")
-        _emit(words, mask, rng.choice(nouns))
-    _emit(words, mask, ".")
-    return words, mask
+def _sentence(rng: random.Random, templates, pools: dict) -> tuple[list[str], list[bool]]:
+    """A sentence and its term mask: a template drawn at random, the subject,
+    then each slot in order, drawn from its pool or taken as written."""
+    template = templates[rng.randrange(len(templates))]
+    words, mask = [rng.choice(pools["SUBJECT"])], [False]
+    for slot in template:
+        if slot == "TERM":
+            term = rng.choice(pools["TERM"])
+            words += term
+            mask += [True] * len(term)
+        else:
+            words.append(rng.choice(pools[slot]) if slot in pools else slot)
+            mask.append(False)
+    return words + ["."], mask + [False]

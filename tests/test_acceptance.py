@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -62,6 +63,7 @@ from termex.features import FeatureIndex, sentence_features
 from termex.pipeline import run_pipeline
 from termex.synth import SynthConfig, generate_corpus
 from tests.conftest import ALL_TERMS, MULTI_TERMS, pair_loss, step_gradients
+from tests.golden import make_criterion1 as pin
 from tests.test_crf import log_partition, marginals
 
 T, O = TokenLabel.T, TokenLabel.O
@@ -330,9 +332,9 @@ def test_criterion_5_embeddings():
                     learning_rate=0.05, seed=seed,
                 ),
             )
-            alpha = model.vector("alpha")
-            beta = model.vector("beta")
-            unrelated = model.vector("unrelated")
+            alpha = model.input_vectors[model.vocab.index["alpha"]]
+            beta = model.input_vectors[model.vocab.index["beta"]]
+            unrelated = model.input_vectors[model.vocab.index["unrelated"]]
             cos_ab = float(
                 alpha @ beta / (np.linalg.norm(alpha) * np.linalg.norm(beta))
             )
@@ -523,3 +525,23 @@ def test_criterion_10_held_out_terms(tmp_path):
         assert end_to_end.f_score >= 0.88
 
     check(10, "held-out terms", body)
+
+
+@pytest.mark.parametrize("seed", pin.SEEDS)
+def test_criterion_1_behaviour_pin(seed, request, gazetteer_file, tmp_path):
+    """Seeds 0, 7 and 101 of criterion 1 reproduce tests/golden/criterion1.json:
+    the text outputs, the report counts and the news extractions (see
+    tests/golden/make_criterion1.py). Seed 0 reuses full_run's outputs."""
+    if seed == 0:
+        workdir = Path(request.getfixturevalue("full_run")[0].paths["reports"]).parent
+    else:
+        workdir = tmp_path / "run"
+        run_pipeline(pin.criterion1_config(seed, gazetteer_file), workdir=workdir)
+    got = pin.record(workdir, pin.write_news(gazetteer_file, tmp_path / "news.jsonl"))
+    pinned = json.loads(pin.GOLDEN.read_text(encoding="utf-8"))[str(seed)]
+    wrong = [
+        f"seed {seed}: {field} is {got.get(field)!r}, pinned {want!r}"
+        for field, want in pinned.items()
+        if got.get(field) != want
+    ]
+    assert not wrong, "\n".join(wrong)

@@ -12,11 +12,14 @@ from termex.cascade import (
     gate,
     spans_from_labels,
     stage1_logits,
+    tag,
 )
 from termex.classifier import ClassifierModel, _forward, predict
 from termex.corpus import Document, Sentence, SentenceLabel, Token, TokenLabel, split_document
+from termex.crf import CrfModel, viterbi
 from termex.embeddings import EmbeddingModel, Vocabulary, embed_sentence
 from termex.errors import LengthMismatchError, ModelMismatchError
+from termex.features import FeatureIndex, sentence_features
 
 T, O = TokenLabel.T, TokenLabel.O
 
@@ -58,6 +61,23 @@ class TestPipelineModels:
             PipelineModels(
                 embedding=models.embedding, classifier=bad, crf=models.crf
             )
+
+    def test_model_pairs_over_one_crf_decode_independently(self, small_run):
+        """Each PipelineModels builds its own decoder: two over one CrfModel
+        decode as the reference does, and each one's table holds only the
+        texts that it decoded twice."""
+        models = small_run.models
+        first, second = (
+            PipelineModels(models.embedding, models.classifier, models.crf) for _ in range(2)
+        )
+        texts = [(first, ["Teams", "deploy", "Kubernetes"]), (second, ["Vendors", "adopt", "Hive"])]
+        for _ in range(2):
+            for pair, words in texts:
+                sentence = Sentence("d", 0, make_tokens(words))
+                reference = viterbi(models.crf, sentence_features(sentence, models.crf.feature_config))
+                assert tag(pair, sentence) == reference
+        for pair, words in texts:
+            assert set(pair.decoder.table) == pair.decoder.seen == set(words)
 
 
 class TestExtraction:
@@ -221,7 +241,8 @@ def linear_classifier(output_weights, bias):
 
 def gate_models(vectors, classifier, words=GATE_WORDS):
     embedding = EmbeddingModel(Vocabulary(list(words)), np.asarray(vectors, float))
-    return PipelineModels(embedding, classifier, crf=None)
+    crf = CrfModel(FeatureIndex(["W0=w0"]), np.zeros((1, 2)), np.zeros((3, 2)))
+    return PipelineModels(embedding, classifier, crf)
 
 
 def sentence_of(words):

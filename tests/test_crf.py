@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from termex.corpus import Sentence, Token, TokenLabel
 from termex.crf import (
     CrfConfig,
     CrfModel,
+    Decoder,
     PotentialTable,
     _LABEL_INDEX,
     _forward,
@@ -231,12 +233,13 @@ def text_model(sentences, config, rng, keep=0.8):
                     feature_config=config)
 
 
-def assert_matches_reference(model, sentence):
+def assert_matches_reference(decoder, sentence):
     """sentence_potentials within 1e-12 * (1 + sum of |w| fired) of potentials
     over sentence_features, entry by entry, with the same decode."""
+    model = decoder.model
     fired = sentence_features(sentence, model.feature_config)
     reference = potentials(model, fired)
-    table = sentence_potentials(model, sentence)
+    table = sentence_potentials(decoder, sentence)
     weight = np.array(
         [np.abs(model.emission_weights[model.feature_index.ids(f)]).sum(axis=0) for f in fired]
     ).reshape(-1, 2)
@@ -264,43 +267,48 @@ class TestSentencePotentials:
     @given(words=words_strategy, config=st.sampled_from(ORACLE_CONFIGS), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_reference_on_every_sighting(self, words, config, seed):
-        model = text_model([words], config, np.random.default_rng(seed))
+        decoder = Decoder(text_model([words], config, np.random.default_rng(seed)))
         sentence = make_sentence(words)
-        first = assert_matches_reference(model, sentence)
+        first = assert_matches_reference(decoder, sentence)
         for _ in range(3):  # second sighting admits the texts, later ones hit
-            assert_same_table(sentence_potentials(model, sentence), first)
+            assert_same_table(sentence_potentials(decoder, sentence), first)
 
     @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=str)
     @pytest.mark.parametrize("case", sorted(ORACLE_SENTENCES))
     def test_named_cases(self, case, config):
         words = ORACLE_SENTENCES[case]
-        model = text_model(ORACLE_SENTENCES.values(), config, np.random.default_rng(5))
-        first = assert_matches_reference(model, make_sentence(words))
+        decoder = Decoder(text_model(ORACLE_SENTENCES.values(), config, np.random.default_rng(5)))
+        first = assert_matches_reference(decoder, make_sentence(words))
         for _ in range(3):
-            assert_same_table(assert_matches_reference(model, make_sentence(words)), first)
+            assert_same_table(assert_matches_reference(decoder, make_sentence(words)), first)
 
     def test_all_unknown_tokens_give_the_transitions_alone(self):
         model = build_model(["f=1"], [[3.0, -1.0]], np.random.default_rng(2).normal(size=(3, 2)))
         sentence = make_sentence(["Zqxv", "wqpz", "12", "!"])
         reference = potentials(model, sentence_features(sentence, model.feature_config))
+        decoder = Decoder(model)
         for _ in range(3):
-            assert_same_table(sentence_potentials(model, sentence), reference)
+            assert_same_table(sentence_potentials(decoder, sentence), reference)
+
+    def test_model_is_frozen(self):
+        model = build_model(["f=1"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.emission_weights = np.ones((1, 2))
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError, match="empty sentence"):
-            sentence_potentials(build_model(["f=1"]), make_sentence([]))
+            sentence_potentials(Decoder(build_model(["f=1"])), make_sentence([]))
 
     def test_table_stays_bounded(self):
         config = FeatureConfig()
-        model = text_model([["tok1", "tok2", "Hive"]], config, np.random.default_rng(8))
+        decoder = Decoder(text_model([["tok1", "tok2", "Hive"]], config, np.random.default_rng(8)))
         texts = [f"tok{n}" for n in range(10_000)]
         for text in texts:
             for _ in range(2):
-                sentence_potentials(model, make_sentence([text]))
-        _, table, seen = model._sums
-        assert 0 < len(table) <= TABLE_SIZE
-        assert 0 < len(seen) <= SEEN_SIZE
-        assert_matches_reference(model, make_sentence(["tok1", *texts[-3:], "Hive"]))
+                sentence_potentials(decoder, make_sentence([text]))
+        assert 0 < len(decoder.table) <= TABLE_SIZE
+        assert 0 < len(decoder.seen) <= SEEN_SIZE
+        assert_matches_reference(decoder, make_sentence(["tok1", *texts[-3:], "Hive"]))
 
     def test_models_share_no_entries(self):
         """Two models decoding the same texts in turn each keep their own
@@ -308,12 +316,12 @@ class TestSentencePotentials:
         to the other."""
         words = ["Apache", "Hive", "uses", "Hive"]
         rng = np.random.default_rng(9)
-        models = [text_model([words], config, rng, keep=1.0)
-                  for config in (FeatureConfig(), FeatureConfig(), FeatureConfig(3, 3, 1))]
+        decoders = [Decoder(text_model([words], config, rng, keep=1.0))
+                    for config in (FeatureConfig(), FeatureConfig(), FeatureConfig(3, 3, 1))]
         for _ in range(3):
-            for model in models:
-                assert_matches_reference(model, make_sentence(words))
-        tables = [model._sums[1] for model in models]
+            for decoder in decoders:
+                assert_matches_reference(decoder, make_sentence(words))
+        tables = [decoder.table for decoder in decoders]
         assert all(set(table) == {"Apache", "Hive", "uses"} for table in tables)
         assert len({id(entry) for table in tables for entry in table.values()}) == 9
 
@@ -374,8 +382,9 @@ def context_model(words, config, known, rng):
 def assert_in_documented_order(model, words):
     """Bit for bit on the first sighting, the second (admitted) and a hit."""
     expected = ordered_potentials(model, words)
+    decoder = Decoder(model)
     for _ in range(3):
-        assert_same_table(sentence_potentials(model, make_sentence(words)), expected)
+        assert_same_table(sentence_potentials(decoder, make_sentence(words)), expected)
 
 
 # Known folds repeated inside one window; known folds exactly window
@@ -441,13 +450,12 @@ def assert_local_sums_exact(text, config, seed, keep):
     """_text_sums' local sums equal, bit for bit, the known weights of
     token_parts' own strings added in tuple order."""
     model = text_model([[text], RAW_TEXTS], config, np.random.default_rng(seed), keep)
-    sentence_potentials(model, make_sentence([text]))
     weights = dict(zip(model.feature_index.strings(), model.emission_weights.tolist()))
     local_t = local_o = 0.0
     for feature in token_parts(text, config)[3]:
         if feature in weights:
             local_t, local_o = local_t + weights[feature][0], local_o + weights[feature][1]
-    assert _text_sums(model, text)[5:7] == (local_t, local_o)
+    assert _text_sums(Decoder(model), text)[5:7] == (local_t, local_o)
 
 
 class TestRawNgramSums:

@@ -345,9 +345,9 @@ class TestTraining:
             dim=16, window=2, negatives=5, epochs=3, learning_rate=0.05, seed=0
         )
         model = train_skipgram(corpus, cfg)
-        alpha = model.vector("alpha")
-        beta = model.vector("beta")
-        unrelated = model.vector("unrelated")
+        alpha = model.input_vectors[model.vocab.index["alpha"]]
+        beta = model.input_vectors[model.vocab.index["beta"]]
+        unrelated = model.input_vectors[model.vocab.index["unrelated"]]
         assert cosine(alpha, beta) > cosine(alpha, unrelated)
 
     def test_stays_finite_at_max_contract_rate(self):
@@ -544,8 +544,8 @@ class TestTextImport:
     def test_parses_vectors(self):
         model = load_text_vectors("hive 1.0 2.0\nSpark 3.0 4.0\n")
         assert model.dim == 2
-        assert np.allclose(model.vector("HIVE"), [1.0, 2.0])
-        assert np.allclose(model.vector("spark"), [3.0, 4.0])
+        assert np.allclose(model.input_vectors[model.vocab.index["hive"]], [1.0, 2.0])
+        assert np.allclose(model.input_vectors[model.vocab.index["spark"]], [3.0, 4.0])
 
     def test_inconsistent_dims(self):
         with pytest.raises(ConfigError):
