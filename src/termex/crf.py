@@ -16,7 +16,7 @@ from . import modelio
 from .corpus import Sentence, TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
 from .features import BOS_WORD, EOS_WORD, LW, NG, P0, PSEQ, RW, SH0, SHSEQ, TEMPLATES, W0, W_AFTER
-from .features import W_BEFORE, FeatureConfig, FeatureIndex, _tag_token, admit
+from .features import W_BEFORE, FeatureConfig, FeatureIndex, _tag_token
 from .features import raw_ngrams, triples, window_slices, word_shape
 
 MAGIC = b"TXCRF"
@@ -112,11 +112,31 @@ def potentials(
     return PotentialTable(start=start, steps=steps)
 
 
+# A text enters a decoder's table on its second sighting, so one-off words
+# never fill it. The table and the set of texts seen are each emptied when
+# full.
+TABLE_SIZE, SEEN_SIZE = 1024, 4096
+
+
+def admit(table: dict, seen: set, key, value):
+    """Store value under key in table if key was seen before, else mark key
+    seen (the second-sighting rule above); returns value."""
+    if key in seen:
+        if len(table) >= TABLE_SIZE:
+            table.clear()
+        table[key] = value
+    else:
+        if len(seen) >= SEEN_SIZE:
+            seen.clear()
+        seen.add(key)
+    return value
+
+
 class Decoder:
     """Stage II's inference state for one model: one emission weight dict per
     template prefix, keyed by the raw value after it, and the per-text sums
-    that sentence_potentials keeps under the second-sighting rule of
-    features.admit. PipelineModels builds one per model pair."""
+    that sentence_potentials keeps under the second-sighting rule of admit.
+    PipelineModels builds one per model pair."""
 
     def __init__(self, model: CrfModel) -> None:
         self.model = model

@@ -95,32 +95,6 @@ def _tag_token(text: str) -> CoarsePosTag:
     return CoarsePosTag.SYM
 
 
-# A text enters a table on its second sighting, so one-off words never fill
-# it. The table and the set of texts seen are each emptied when full.
-TABLE_SIZE, SEEN_SIZE = 1024, 4096
-
-
-def admit(table: dict, seen: set, key, value):
-    """Store value under key in table if key was seen before, else mark key
-    seen (the second-sighting rule above); returns value."""
-    if key in seen:
-        if len(table) >= TABLE_SIZE:
-            table.clear()
-        table[key] = value
-    else:
-        if len(seen) >= SEEN_SIZE:
-            seen.clear()
-        seen.add(key)
-    return value
-
-
-@functools.lru_cache(maxsize=8)
-def _tables(ngram_min: int, ngram_max: int) -> tuple[dict[str, tuple], set[str]]:
-    """The table of token parts and the seen set for these n-gram bounds:
-    training's table. Inference keeps its own sums on crf.Decoder."""
-    return {}, set()
-
-
 # Every feature string is a template prefix and a raw value: a fold (W0,
 # W-1, W+1, LW, RW), a tag (P0), a shape (SH0), an n-gram (NG) or a triple
 # of tags or shapes (PSEQ, SHSEQ). W-1 and W+1 take <BOS> and <EOS> past the
@@ -168,25 +142,25 @@ def sentence_features(
     - LW and RW: the case-folded words up to config.window positions left
       and right of i.
 
-    A token's text-local parts are computed once per recurring text: per
-    pair of n-gram bounds, a table of at most 1,024 texts keeps them, and
-    admits a text on its second sighting among up to 4,096 texts seen.
+    The reference for crf.sentence_potentials and pipeline.crf_dataset,
+    which both keep each recurring text's share instead of rebuilding it."""
+    parts = [token_parts(text, config) for text in sentence.token_texts()]
+    return features_from_parts(parts, config.window)
 
-    The training path, and the reference for crf.sentence_potentials."""
-    texts = sentence.token_texts()
-    if not texts:
+
+def features_from_parts(parts: Sequence[tuple], window: int) -> list[frozenset[str]]:
+    """sentence_features of the sentence whose tokens have these token_parts,
+    with LW and RW reaching window positions to each side."""
+    if not parts:
         return []
-    table, seen = _tables(config.ngram_min, config.ngram_max)
-    _, tags, shapes, own, before, after, left, right = zip(
-        *[table.get(text) or admit(table, seen, text, token_parts(text, config)) for text in texts]
-    )
+    _, tags, shapes, own, before, after, left, right = zip(*parts)
     neighbours = zip(
         (W_BEFORE + BOS_WORD, *before), (*after[1:], W_AFTER + EOS_WORD),
         [PSEQ + v for v in triples(tags)], [SHSEQ + v for v in triples(shapes)],
     )
     out = []
     for i, fired in enumerate(neighbours):
-        left_of, right_of = window_slices(i, config.window)
+        left_of, right_of = window_slices(i, window)
         out.append(frozenset((*own[i], *fired, *left[left_of], *right[right_of])))
     return out
 

@@ -22,13 +22,13 @@ DOCSTART = "-DOCSTART-"
 
 
 def read_gazetteer(path: str | Path) -> Gazetteer:
-    return load_gazetteer(Path(path).read_text(encoding="utf-8"))
+    return load_gazetteer(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def read_corpus_jsonl(path: str | Path) -> list[Document]:
     """Parse one {"id": ..., "text": ...} object per line."""
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -95,7 +95,7 @@ def read_conll(path: str | Path) -> list[LabeledSentence]:
             index += 1
             texts, labels = [], []
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if line.startswith(DOCSTART):

@@ -32,7 +32,7 @@ from .evaluation import (
     evaluate_stage2,
     report_to_json,
 )
-from .features import sentence_features
+from .features import features_from_parts, token_parts
 from .synth import generate_corpus
 
 
@@ -52,21 +52,21 @@ def classifier_examples(model: EmbeddingModel, sentences: list[LabeledSentence])
 
 
 def crf_dataset(sentences: list[LabeledSentence], feature_config):
-    """Stage-II training pairs from the gold-positive sentences only.
+    """Stage-II training pairs from the gold-positive sentences only: each
+    one's sentence_features, from token parts built once per distinct text.
 
     Feature strings are interned: each token builds its own copies of strings
     that recur across thousands of tokens, and the training set holds them
     all while the CRF trains."""
-    positives = [
-        s for s in sentences if s.sentence_label is SentenceLabel.CONTAINS_TECH
-    ]
-    return [
-        (
-            [frozenset(map(sys.intern, f)) for f in sentence_features(s.sentence, feature_config)],
-            list(s.token_labels),
-        )
-        for s in positives
-    ]
+    parts: dict[str, tuple] = {}
+    dataset = []
+    for s in sentences:
+        if s.sentence_label is SentenceLabel.CONTAINS_TECH:
+            row = [parts.get(text) or parts.setdefault(text, token_parts(text, feature_config))
+                   for text in s.sentence.token_texts()]
+            fired = features_from_parts(row, feature_config.window)
+            dataset.append(([frozenset(map(sys.intern, f)) for f in fired], list(s.token_labels)))
+    return dataset
 
 
 def run_pipeline(

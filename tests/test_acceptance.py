@@ -530,14 +530,18 @@ def test_criterion_10_held_out_terms(tmp_path):
 @pytest.mark.parametrize("seed", pin.SEEDS)
 def test_criterion_1_behaviour_pin(seed, request, gazetteer_file, tmp_path):
     """Seeds 0, 7 and 101 of criterion 1 reproduce tests/golden/criterion1.json:
-    the text outputs, the report counts and the news extractions (see
-    tests/golden/make_criterion1.py). Seed 0 reuses full_run's outputs."""
+    the text outputs, the report counts and the extractions over news and
+    OOV-heavy text (see tests/golden/make_criterion1.py). Seed 0 reuses full_run's outputs."""
     if seed == 0:
         workdir = Path(request.getfixturevalue("full_run")[0].paths["reports"]).parent
     else:
         workdir = tmp_path / "run"
         run_pipeline(pin.criterion1_config(seed, gazetteer_file), workdir=workdir)
-    got = pin.record(workdir, pin.write_news(gazetteer_file, tmp_path / "news.jsonl"))
+    got = pin.record(
+        workdir,
+        pin.write_news(gazetteer_file, tmp_path / "news.jsonl"),
+        pin.write_oov(gazetteer_file, tmp_path / "oov.jsonl"),
+    )
     pinned = json.loads(pin.GOLDEN.read_text(encoding="utf-8"))[str(seed)]
     wrong = [
         f"seed {seed}: {field} is {got.get(field)!r}, pinned {want!r}"

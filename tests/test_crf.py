@@ -13,6 +13,8 @@ from termex.crf import (
     CrfConfig,
     CrfModel,
     Decoder,
+    SEEN_SIZE,
+    TABLE_SIZE,
     PotentialTable,
     _LABEL_INDEX,
     _forward,
@@ -33,8 +35,6 @@ from termex.crf import (
 )
 from termex.errors import ConfigError, LengthMismatchError
 from termex.features import (
-    SEEN_SIZE,
-    TABLE_SIZE,
     FeatureConfig,
     FeatureIndex,
     _tag_token,

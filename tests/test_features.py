@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termex import features
-from termex.corpus import Sentence, Token
+from termex.corpus import LabeledSentence, Sentence, SentenceLabel, Token, TokenLabel
 from termex.features import (
     DEFAULT_FEATURES,
-    SEEN_SIZE,
-    TABLE_SIZE,
     CoarsePosTag,
     FeatureConfig,
     FeatureIndex,
     _tag_token,
+    features_from_parts,
     sentence_features,
+    token_parts,
     word_shape,
 )
+from termex.pipeline import crf_dataset
 
 
 def char_ngrams(text, n_min=2, n_max=4):
@@ -345,41 +345,29 @@ class TestSentenceFeatures:
         assert "NG=aße" in sentence_features(s)[0]  # n-grams use lower()
 
 
-@pytest.fixture
-def fresh_tables():
-    features._tables.cache_clear()
-    yield
-    features._tables.cache_clear()
+def labeled(words, tech):
+    """A sentence whose tokens at the positions in tech are T."""
+    labels = [TokenLabel.T if i in tech else TokenLabel.O for i in range(len(words))]
+    return LabeledSentence.from_token_labels(make_sentence(words), labels)
 
 
-def default_tables():
-    return features._tables(DEFAULT_FEATURES.ngram_min, DEFAULT_FEATURES.ngram_max)
+class TestRepeatedTexts:
+    """sentence_features keeps nothing between calls, and crf_dataset's
+    per-call memo of token parts serves every sighting as the reference."""
 
-
-@pytest.mark.usefixtures("fresh_tables")
-class TestTokenTable:
     def test_every_sighting_matches_the_reference(self):
-        # Case variants share a fold but not a tag or a shape, so a table
+        # Case variants share a fold but not a tag or a shape, so a memo
         # keyed by anything but the exact text serves them wrong parts.
         s = make_sentence(["Hive", "HIVE", "hive", "uses", "2,019", "Hive"])
         expected = [extract_features(s, i) for i in range(6)]
-        table, seen = default_tables()
-        assert sentence_features(s) == expected  # every text first seen...
-        assert set(table) == {"Hive"}  # ...but one that recurs in the sentence
-        assert {"HIVE", "hive", "uses", "2,019"} <= seen
-        assert sentence_features(s) == expected  # second sighting: admitted
-        assert set(table) == {"Hive", "HIVE", "hive", "uses", "2,019"}
-        for _ in range(2):
-            assert sentence_features(s) == expected  # table hits
+        for _ in range(4):
+            assert sentence_features(s) == expected
 
-    def test_tables_stay_bounded(self):
+    def test_many_distinct_texts(self):
         texts = [f"tok{n}" for n in range(10_000)]
         for text in texts:
             sentence_features(make_sentence([text]))
             sentence_features(make_sentence([text]))
-        table, seen = default_tables()
-        assert 0 < len(table) <= TABLE_SIZE
-        assert 0 < len(seen) <= SEEN_SIZE
         s = make_sentence(texts[-3:])
         assert sentence_features(s) == [
             extract_features(s, i) for i in range(3)
@@ -387,6 +375,7 @@ class TestTokenTable:
 
     def test_empty_sentence(self):
         assert sentence_features(Sentence(doc_id="d", index=0, tokens=())) == []
+        assert features_from_parts([], DEFAULT_FEATURES.window) == []
 
     def test_configs_with_other_ngram_bounds_share_nothing(self):
         s = make_sentence(["Apache", "Hive"])
@@ -396,20 +385,34 @@ class TestTokenTable:
                 assert sentence_features(s, config) == [
                     extract_features(s, i, config) for i in range(2)
                 ]
-        tables = [features._tables(c.ngram_min, c.ngram_max)[0] for c in configs]
-        assert all(set(table) == {"Apache", "Hive"} for table in tables)
-        assert len({id(table) for table in tables}) == len(configs)
 
-    def test_cached_parts_are_immutable(self):
-        s = make_sentence(["Apache", "Hive"])
-        sentence_features(s)
-        sentence_features(s)
-        table, _ = default_tables()
-        assert set(table) == {"Apache", "Hive"}
-        for parts in table.values():
+    def test_token_parts_are_immutable(self):
+        for text in ("Apache", "Hive", "2,019", "ab-CD"):
+            parts = token_parts(text, DEFAULT_FEATURES)
             assert isinstance(parts, tuple)
             assert all(isinstance(part, (str, tuple)) for part in parts)
             hash(parts)  # raises if any part, the n-grams among them, is mutable
+
+    def test_crf_dataset_matches_the_reference(self):
+        first = [
+            labeled(["Hive", "HIVE", "hive", "uses", "Hive"], {0, 1, 4}),
+            labeled(["hive", "and", "HIVE", "."], {0, 2}),
+            labeled(["nothing", "here"], set()),  # gold-negative: left out
+            labeled(["Uses", "Hive", "hive"], {1, 2}),
+        ]
+        second = [
+            labeled(["HIVE", "hive", "Uses"], {0, 1}),
+            labeled(["Kafka", "uses", "kafka", "KAFKA"], {0, 2, 3}),
+        ]
+        for config in (FeatureConfig(2, 3, 2), DEFAULT_FEATURES):
+            for sentences in (first, second, first):
+                positives = [
+                    s for s in sentences if s.sentence_label is SentenceLabel.CONTAINS_TECH
+                ]
+                assert crf_dataset(sentences, config) == [
+                    (sentence_features(s.sentence, config), list(s.token_labels))
+                    for s in positives
+                ]
 
 
 class TestFeatureIndex:

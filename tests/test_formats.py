@@ -100,3 +100,31 @@ def test_read_gazetteer_file(tmp_path):
     path.write_text("# tools\nApache Hive\nRedis\n", encoding="utf-8")
     g = read_gazetteer(path)
     assert len(g) == 2
+
+
+def with_bom(path):
+    """A copy of path that starts with a UTF-8 byte order mark, as some
+    editors write."""
+    bom = path.with_name("bom-" + path.name)
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return bom
+
+
+class TestByteOrderMark:
+    def test_gazetteer(self, tmp_path):
+        for text in ("TensorFlow\nApache Hive\n", "# tools\nTensorFlow\nApache Hive\n"):
+            path = tmp_path / "gazetteer.txt"
+            path.write_text(text, encoding="utf-8")
+            plain, marked = read_gazetteer(path), read_gazetteer(with_bom(path))
+            assert marked == plain
+            assert marked.entries == {("tensorflow",), ("apache", "hive")}
+
+    def test_jsonl(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl(path, [Document("a", "First text."), Document("b", "Second.")])
+        assert read_corpus_jsonl(with_bom(path)) == read_corpus_jsonl(path)
+
+    def test_conll(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        write_conll(path, [labeled(["Use", "Hive", "."], "OTO", doc_id="doc1")])
+        assert read_conll(with_bom(path)) == read_conll(path)
