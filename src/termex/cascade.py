@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .classifier import ClassifierModel
-from .corpus import Document, Sentence, Token, TokenLabel, split_document
-from .crf import CrfModel, Decoder, sentence_potentials, viterbi_from_table
+from .corpus import Document, Sentence, TokenLabel, split_document
+from .crf import CrfModel, Decoder, decode
 from .embeddings import EmbeddingModel
 from .errors import LengthMismatchError, ModelMismatchError
 
@@ -68,12 +68,12 @@ class PipelineModels:
 
 
 def spans_from_labels(
-    tokens: Sequence[Token], labels: Sequence[TokenLabel]
+    texts: Sequence[str], labels: Sequence[TokenLabel]
 ) -> list[Span]:
     """Maximal runs of T become spans; span text joins token texts with
     single spaces."""
-    if len(tokens) != len(labels):
-        raise LengthMismatchError(f"{len(labels)} labels for {len(tokens)} tokens")
+    if len(texts) != len(labels):
+        raise LengthMismatchError(f"{len(labels)} labels for {len(texts)} tokens")
     spans: list[Span] = []
     start: int | None = None
     for i, label in enumerate(labels):
@@ -81,15 +81,15 @@ def spans_from_labels(
             if start is None:
                 start = i
         elif start is not None:
-            spans.append(_span(tokens, start, i - 1))
+            spans.append(_span(texts, start, i - 1))
             start = None
     if start is not None:
-        spans.append(_span(tokens, start, len(labels) - 1))
+        spans.append(_span(texts, start, len(labels) - 1))
     return spans
 
 
-def _span(tokens: Sequence[Token], start: int, end: int) -> Span:
-    return Span(start, end, " ".join(t.text for t in tokens[start : end + 1]))
+def _span(texts: Sequence[str], start: int, end: int) -> Span:
+    return Span(start, end, " ".join(texts[start : end + 1]))
 
 
 def stage1_logits(models: PipelineModels, rows: Sequence[int]) -> tuple[float, float]:
@@ -116,7 +116,7 @@ def gate(models: PipelineModels, sentence: Sentence, stats: PipelineStats | None
     punctuation_only = bool(rows) and vocab.punctuation.issuperset(rows)
     if stats is not None:
         stats.sentences += 1
-        stats.tokens += len(sentence.tokens)
+        stats.tokens += len(sentence.texts)
         stats.in_vocab_tokens += len(rows)
         stats.zero_evidence += not rows
         stats.punctuation_only += punctuation_only
@@ -128,7 +128,7 @@ def gate(models: PipelineModels, sentence: Sentence, stats: PipelineStats | None
 
 def tag(models: PipelineModels, sentence: Sentence) -> list[TokenLabel]:
     """Stage II alone: the CRF's labels for a sentence."""
-    return viterbi_from_table(sentence_potentials(models.decoder, sentence))
+    return decode(models.decoder, sentence.texts)
 
 
 def gated_labels(
@@ -154,7 +154,7 @@ def extract_sentence(
     labels = gated_labels(models, sentence, stats)
     if labels is None:
         return Extraction(sentence.doc_id, sentence.index, False, ())
-    spans = spans_from_labels(sentence.tokens, labels)
+    spans = spans_from_labels(sentence.texts, labels)
     return Extraction(sentence.doc_id, sentence.index, True, tuple(spans))
 
 

@@ -117,7 +117,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         return cfg
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:

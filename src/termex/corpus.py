@@ -3,6 +3,7 @@ dataset balancing, and train/validation/test splitting."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegenerateDatasetError,
@@ -41,15 +42,31 @@ class Token:
 
 @dataclass(frozen=True)
 class Sentence:
+    """A sentence as columns: each token's text and its byte offsets into the
+    UTF-8 encoding of its source text. ``tokens`` builds the Token values on
+    first use; extraction reads only the texts."""
+
     doc_id: str
     index: int
-    tokens: tuple[Token, ...]
+    texts: tuple[str, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+
+    @classmethod
+    def from_tokens(cls, doc_id: str, index: int, tokens: Iterable[Token]) -> "Sentence":
+        tokens = tuple(tokens)
+        return cls(doc_id, index, tuple(t.text for t in tokens),
+                   tuple(t.start for t in tokens), tuple(t.end for t in tokens))
+
+    @functools.cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(map(Token, self.texts, self.starts, self.ends))
 
     def token_texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.texts)
 
     def folded_texts(self) -> list[str]:
-        return [t.text.casefold() for t in self.tokens]
+        return [text.casefold() for text in self.texts]
 
 
 @dataclass(frozen=True)
@@ -81,10 +98,10 @@ class LabeledSentence:
     sentence_label: SentenceLabel
 
     def __post_init__(self):
-        if len(self.token_labels) != len(self.sentence.tokens):
+        if len(self.token_labels) != len(self.sentence.texts):
             raise ValueError(
                 f"{len(self.token_labels)} labels for "
-                f"{len(self.sentence.tokens)} tokens"
+                f"{len(self.sentence.texts)} tokens"
             )
         has_t = any(l is TokenLabel.T for l in self.token_labels)
         expected = SentenceLabel.CONTAINS_TECH if has_t else SentenceLabel.NO_TECH
@@ -155,18 +172,14 @@ def _byte_offsets(text: str) -> list[int] | None:
     return offs
 
 
-def _tokens(chars: Iterable[tuple[str, int, int]], offs: list[int] | None) -> Iterator[Token]:
-    """Tokens of character-offset triples, at the byte offsets of offs (None: ASCII)."""
-    if offs is None:
-        return (Token(t, a, b) for t, a, b in chars)
-    return (Token(t, offs[a], offs[b]) for t, a, b in chars)
-
-
 def tokenize(text: str) -> list[Token]:
     """Split on whitespace, then peel leading/trailing punctuation into
     single-character tokens. Internal punctuation stays attached, so
     "theregister.co.uk" survives whole while "PyTorch," splits in two."""
-    return list(_tokens(_char_tokens(text), _byte_offsets(text)))
+    offs = _byte_offsets(text)
+    if offs is None:
+        return [Token(t, a, b) for t, a, b in _char_tokens(text)]
+    return [Token(t, offs[a], offs[b]) for t, a, b in _char_tokens(text)]
 
 
 def _is_abbreviation(text: str, k: int) -> bool:
@@ -208,10 +221,13 @@ def split_sentences(text: str, doc_id: str = "") -> list[Sentence]:
     # A token's sentence is the number of boundaries at or before its start;
     # a sentence with no tokens forms no group.
     groups = itertools.groupby(_char_tokens(text), key=lambda tok: bisect_right(bounds, tok[1]))
-    return [
-        Sentence(doc_id=doc_id, index=idx, tokens=tuple(_tokens(group, offs)))
-        for idx, (_, group) in enumerate(groups)
-    ]
+    sentences = []
+    for idx, (_, group) in enumerate(groups):
+        texts, starts, ends = zip(*group)
+        if offs is not None:
+            starts, ends = tuple(map(offs.__getitem__, starts)), tuple(map(offs.__getitem__, ends))
+        sentences.append(Sentence(doc_id, idx, texts, starts, ends))
+    return sentences
 
 
 def split_document(doc: Document) -> list[Sentence]:

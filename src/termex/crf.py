@@ -134,9 +134,9 @@ def admit(table: dict, seen: set, key, value):
 
 class Decoder:
     """Stage II's inference state for one model: one emission weight dict per
-    template prefix, keyed by the raw value after it, and the per-text sums
-    that sentence_potentials keeps under the second-sighting rule of admit.
-    PipelineModels builds one per model pair."""
+    template prefix, keyed by the raw value after it, the transition rows as
+    Python floats, and the per-text sums that node_scores keeps under the
+    second-sighting rule of admit. PipelineModels builds one per model pair."""
 
     def __init__(self, model: CrfModel) -> None:
         self.model = model
@@ -145,6 +145,7 @@ class Decoder:
         for feature, row in zip(model.feature_index.strings(), model.emission_weights.tolist()):
             name, _, value = feature.partition("=")
             self.weights.get(name + "=", {})[value] = tuple(row)
+        self.transitions = model.transition_weights.tolist()
         self.table: dict[str, tuple] = {}
         self.seen: set[str] = set()
 
@@ -178,13 +179,12 @@ def _window_weights(words: Sequence[str], weights: Sequence, known_at: list[int]
     return {words[k]: weights[k] for k in inside}.values() if inside else ()
 
 
-def sentence_potentials(decoder: Decoder, sentence: Sentence) -> PotentialTable:
-    """The inference path to potentials(decoder.model, sentence_features(...)),
-    equal within rounding: node scores add per-text weight sums (_text_sums)
-    kept on the decoder. A position adds to its text's local sums its known
-    W-1, W+1, PSEQ and SHSEQ weights, then those of its window's known LW and
-    RW folds."""
-    texts = sentence.token_texts()
+def node_scores(decoder: Decoder, texts: Sequence[str]) -> list[tuple[float, float]]:
+    """The (T, O) node scores of potentials(decoder.model, sentence_features(...))
+    for a sentence of these token texts, equal within rounding: they add
+    per-text weight sums (_text_sums) kept on the decoder. A position adds to
+    its text's local sums its known W-1, W+1, PSEQ and SHSEQ weights, then
+    those of its window's known LW and RW folds."""
     if not texts:
         raise ValueError("cannot build potentials for an empty sentence")
     weights, table, seen, model = decoder.weights, decoder.table, decoder.seen, decoder.model
@@ -205,8 +205,24 @@ def sentence_potentials(decoder: Decoder, sentence: Sentence) -> PotentialTable:
         for a, b in (*filter(None, neighbours), *context):
             t, o = t + a, o + b
         node.append((t, o))
-    start, steps = _clique_scores(model.transition_weights, np.array(node))
+    return node
+
+
+def sentence_potentials(decoder: Decoder, sentence: Sentence) -> PotentialTable:
+    """The potential table of node_scores: the inference path to potentials."""
+    node = np.array(node_scores(decoder, sentence.texts))
+    start, steps = _clique_scores(decoder.model.transition_weights, node)
     return PotentialTable(start=start, steps=steps)
+
+
+def decode(decoder: Decoder, texts: Sequence[str]) -> list[TokenLabel]:
+    """viterbi_from_table(sentence_potentials(...)) in Python floats: the
+    clique scores add each transition row to a node score, as _clique_scores
+    does, and go straight into the same Viterbi."""
+    (first_t, first_o), *rest = node_scores(decoder, texts)
+    (bos_t, bos_o), (tt, to), (ot, oo) = decoder.transitions
+    steps = [((tt + t, to + o), (ot + t, oo + o)) for t, o in rest]
+    return _viterbi((bos_t + first_t, bos_o + first_o), steps)
 
 
 def _forward(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -261,11 +277,11 @@ def _path_scores(
     return score
 
 
-def viterbi_from_table(table: PotentialTable) -> list[TokenLabel]:
-    """Best label sequence; ties prefer O at the earliest differing position."""
-    steps = table.steps.tolist()
+def _viterbi(start: Sequence[float], steps: Sequence) -> list[TokenLabel]:
+    """Best label sequence of log potentials as Python floats: start[cur] and
+    steps[i][prev][cur]. Ties prefer O at the earliest differing position."""
     # best[i][s]: best score of positions i+1..L-1 given state s at i.
-    best = [(0.0, 0.0)] * len(table)
+    best = [(0.0, 0.0)] * (1 + len(steps))
     after_t = after_o = 0.0
     for i in range(len(steps) - 1, -1, -1):
         (tt, to), (ot, oo) = steps[i]
@@ -275,7 +291,7 @@ def viterbi_from_table(table: PotentialTable) -> list[TokenLabel]:
         )
         best[i] = (after_t, after_o)
 
-    start_t, start_o = table.start.tolist()
+    start_t, start_o = start
     state = 0 if start_t + best[0][0] > start_o + best[0][1] else 1  # index 1 is O
     states = [state]
     for i in range(1, len(best)):
@@ -283,6 +299,12 @@ def viterbi_from_table(table: PotentialTable) -> list[TokenLabel]:
         state = 0 if row_t + best[i][0] > row_o + best[i][1] else 1
         states.append(state)
     return [LABELS[s] for s in states]
+
+
+def viterbi_from_table(table: PotentialTable) -> list[TokenLabel]:
+    """Best label sequence of a table; ties prefer O at the earliest
+    differing position."""
+    return _viterbi(table.start.tolist(), table.steps.tolist())
 
 
 def viterbi(

@@ -108,11 +108,11 @@ def evaluate_spans(
     for labeled in test:
         gold = {
             (s.start, s.end)
-            for s in spans_from_labels(labeled.sentence.tokens, labeled.token_labels)
+            for s in spans_from_labels(labeled.sentence.texts, labeled.token_labels)
         }
         predicted = {
             (s.start, s.end)
-            for s in spans_from_labels(labeled.sentence.tokens, tag(models, labeled.sentence))
+            for s in spans_from_labels(labeled.sentence.texts, tag(models, labeled.sentence))
         }
         tp += len(gold & predicted)
         fp += len(predicted - gold)

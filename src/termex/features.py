@@ -142,7 +142,7 @@ def sentence_features(
     - LW and RW: the case-folded words up to config.window positions left
       and right of i.
 
-    The reference for crf.sentence_potentials and pipeline.crf_dataset,
+    The reference for crf.node_scores and pipeline.crf_dataset,
     which both keep each recurring text's share instead of rebuilding it."""
     parts = [token_parts(text, config) for text in sentence.token_texts()]
     return features_from_parts(parts, config.window)

@@ -63,8 +63,8 @@ def write_conll(path: str | Path, sentences: Iterable[LabeledSentence]) -> None:
             if doc_id != current_doc:
                 fh.write(f"{DOCSTART} {doc_id}\n")
                 current_doc = doc_id
-            for token, label in zip(labeled.sentence.tokens, labeled.token_labels):
-                fh.write(f"{token.text}\t{label.value}\n")
+            for text, label in zip(labeled.sentence.texts, labeled.token_labels):
+                fh.write(f"{text}\t{label.value}\n")
             fh.write("\n")
 
 
@@ -77,7 +77,7 @@ def _rebuild_sentence(doc_id: str, index: int, texts: Sequence[str]) -> Sentence
         width = len(text.encode("utf-8"))
         tokens.append(Token(text, at, at + width))
         at += width + 1
-    return Sentence(doc_id=doc_id, index=index, tokens=tuple(tokens))
+    return Sentence.from_tokens(doc_id, index, tokens)
 
 
 def read_conll(path: str | Path) -> list[LabeledSentence]:

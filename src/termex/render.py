@@ -54,14 +54,13 @@ def _render(
         extraction = by_index.get(sentence.index)
         if extraction is None:
             continue
-        tokens = sentence.tokens
         marks = []
         if extraction.sentence_positive:
-            marks.append((0, len(tokens) - 1, _SENTENCE))
+            marks.append((0, len(sentence.texts) - 1, _SENTENCE))
             marks += [(s.start, s.end, _TERM) for s in extraction.term_spans]
         labeled = gold_by_index.get(sentence.index)
         if labeled is not None:
-            if labeled.sentence.token_texts() != sentence.token_texts():
+            if labeled.sentence.texts != sentence.texts:
                 raise InputDataError(
                     f"gold sentence {sentence.index} of document {doc.id!r} "
                     "does not match the corpus"
@@ -69,12 +68,12 @@ def _render(
             predicted = {(s.start, s.end) for s in extraction.term_spans}
             marks += [
                 (s.start, s.end, _MISSED)
-                for s in spans_from_labels(tokens, labeled.token_labels)
+                for s in spans_from_labels(sentence.texts, labeled.token_labels)
                 if (s.start, s.end) not in predicted
             ]
         # Marks come in rising style, so a later one overwrites an earlier.
         for start, end, style in marks:
-            a, b = tokens[start].start, tokens[end].end
+            a, b = sentence.starts[start], sentence.ends[end]
             styles[a:b] = [style] * (b - a)
 
     pieces, at = [], 0

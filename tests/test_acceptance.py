@@ -84,7 +84,7 @@ def make_sentence(words, index=0):
     for w in words:
         tokens.append(Token(w, at, at + len(w)))
         at += len(w) + 1
-    return Sentence(doc_id="d", index=index, tokens=tuple(tokens))
+    return Sentence.from_tokens("d", index, tokens)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from termex.cascade import (
 )
 from termex.classifier import ClassifierModel, _forward, predict
 from termex.corpus import Document, Sentence, SentenceLabel, Token, TokenLabel, split_document
-from termex.crf import CrfModel, viterbi
+from termex.crf import CrfModel, potentials, viterbi, viterbi_from_table
 from termex.embeddings import EmbeddingModel, Vocabulary, embed_sentence
 from termex.errors import LengthMismatchError, ModelMismatchError
 from termex.features import FeatureIndex, sentence_features
@@ -35,22 +35,21 @@ def make_tokens(words):
 
 class TestSpansFromLabels:
     def test_two_runs(self):
-        tokens = make_tokens(["a", "b", "c", "d", "e"])
-        spans = spans_from_labels(tokens, [O, T, T, O, T])
+        spans = spans_from_labels(("a", "b", "c", "d", "e"), [O, T, T, O, T])
         assert [(s.start, s.end) for s in spans] == [(1, 2), (4, 4)]
         assert spans[0].text == "b c"
 
     def test_all_o(self):
-        assert spans_from_labels(make_tokens(["a", "b"]), [O, O]) == []
+        assert spans_from_labels(("a", "b"), [O, O]) == []
 
     def test_all_t(self):
-        spans = spans_from_labels(make_tokens(["a", "b", "c"]), [T, T, T])
+        spans = spans_from_labels(("a", "b", "c"), [T, T, T])
         assert [(s.start, s.end) for s in spans] == [(0, 2)]
         assert spans[0].text == "a b c"
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            spans_from_labels(make_tokens(["a"]), [T, O])
+            spans_from_labels(("a",), [T, O])
 
 
 class TestPipelineModels:
@@ -73,11 +72,51 @@ class TestPipelineModels:
         texts = [(first, ["Teams", "deploy", "Kubernetes"]), (second, ["Vendors", "adopt", "Hive"])]
         for _ in range(2):
             for pair, words in texts:
-                sentence = Sentence("d", 0, make_tokens(words))
+                sentence = Sentence.from_tokens("d", 0, make_tokens(words))
                 reference = viterbi(models.crf, sentence_features(sentence, models.crf.feature_config))
                 assert tag(pair, sentence) == reference
         for pair, words in texts:
             assert set(pair.decoder.table) == pair.decoder.seen == set(words)
+
+
+# Pseudo-words: letters, digits and joiners that no training sentence holds.
+pseudo_words = st.text(alphabet="aeiouKkZzqx0129.-", min_size=1, max_size=12)
+
+
+class TestTag:
+    """cascade.tag, the numpy-free decode, against Viterbi over the reference
+    potentials of sentence_features, with the small run's trained CRF."""
+
+    @staticmethod
+    def assert_matches_reference(models, words):
+        sentence = Sentence.from_tokens("d", 0, make_tokens(words))
+        fired = sentence_features(sentence, models.crf.feature_config)
+        reference = viterbi_from_table(potentials(models.crf, fired))
+        for _ in range(3):  # first sighting, admitted, then a table hit
+            assert tag(models, sentence) == reference
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference(self, small_run, data):
+        models = small_run.models
+        known = st.sampled_from(models.embedding.vocab.words)
+        word = known | known.map(str.capitalize) | pseudo_words
+        words = data.draw(st.lists(word, min_size=1, max_size=60))
+        self.assert_matches_reference(models, words)
+
+    @pytest.mark.parametrize(
+        "words",
+        [["Kafka"], ["."], ["Zqxv"], ["deploy"]],
+        ids=["term", "punctuation", "pseudo-word", "lowercase"],
+    )
+    def test_length_one_sentences(self, small_run, words):
+        self.assert_matches_reference(small_run.models, words)
+
+    def test_long_sentence(self, small_run):
+        vocab = small_run.models.embedding.vocab.words
+        words = [vocab[k % len(vocab)].capitalize() if k % 7 == 0 else vocab[(k * 13) % len(vocab)]
+                 for k in range(400)]
+        self.assert_matches_reference(small_run.models, words + ["Qzx-9", "Kafka", "."])
 
 
 class TestExtraction:
@@ -171,7 +210,7 @@ class TestZeroEvidence:
         def no_crf(*args):
             raise AssertionError("stage II ran on a sentence without evidence")
 
-        monkeypatch.setattr("termex.cascade.sentence_potentials", no_crf)
+        monkeypatch.setattr("termex.cascade.decode", no_crf)
         (sentence,) = split_document(Document(id="z", text=text))
         stats = PipelineStats()
         extraction = extract_sentence(models, sentence, stats)
@@ -246,7 +285,7 @@ def gate_models(vectors, classifier, words=GATE_WORDS):
 
 
 def sentence_of(words):
-    return Sentence("g", 0, make_tokens(words))
+    return Sentence.from_tokens("g", 0, make_tokens(words))
 
 
 def in_vocab_rows(models, sentence):

@@ -43,6 +43,15 @@ class TestLoadRunConfig:
         assert cfg.classifier == ClassifierConfig(9, 0.25, 0.125, 6, 8)
         assert cfg.crf == CrfConfig(11, 2.5, 3, FeatureConfig(1, 6, 0))
 
+    def test_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        text = "[main]\nseed = 4\nratios = 0.8 0.1 0.1\n[crf]\nwindow = 2\n"
+        plain = load_run_config(write(tmp_path, text))
+        bom = tmp_path / "bom.ini"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert bom.read_bytes()[:4] == b"\xef\xbb\xbf["
+        assert load_run_config(bom) == plain
+        assert plain.seed == 4 and plain.crf.feature_config.window == 2
+
     def test_unknown_key_names_section_and_key(self, tmp_path):
         path = write(tmp_path, "[embeddings]\nlearning_rat = 9\n")
         with pytest.raises(ConfigError, match=r"'learning_rat'.*\[embeddings\]"):

@@ -39,7 +39,7 @@ def make_sentence(words, doc_id="d", index=0):
         width = len(w.encode("utf-8"))
         tokens.append(Token(w, at, at + width))
         at += width + 1
-    return Sentence(doc_id=doc_id, index=index, tokens=tuple(tokens))
+    return Sentence.from_tokens(doc_id, index, tokens)
 
 
 def label_values(labeled):
@@ -90,6 +90,14 @@ def reference_split(text, doc_id=""):
     """split_sentences written as a per-character loop: every chunk's edges
     go through the category test, and every character is checked for a
     terminator. The splitter's fast paths must give the same sentences."""
+    return [
+        Sentence.from_tokens(doc_id, idx, tokens)
+        for idx, tokens in enumerate(reference_tokens(text))
+    ]
+
+
+def reference_tokens(text):
+    """reference_split's sentences as tuples of Token values, one per token."""
     def separable(ch):
         return unicodedata.category(ch)[0] in ("P", "S")
 
@@ -138,10 +146,7 @@ def reference_split(text, doc_id=""):
         current.append(tok)
     if current:
         groups.append(current)
-    return [
-        Sentence(doc_id, idx, tuple(Token(t, offsets[a], offsets[b]) for t, a, b in group))
-        for idx, group in enumerate(groups)
-    ]
+    return [tuple(Token(t, offsets[a], offsets[b]) for t, a, b in group) for group in groups]
 
 
 # Each of the splitter's named cases, and texts that mix them.
@@ -183,6 +188,68 @@ class TestSplitterFastPaths:
             if chr(c).isalnum() and unicodedata.category(chr(c))[0] in "PS"
         ]
         assert both == []
+
+
+class TestColumnarSentences:
+    """A Sentence stores each token's text and byte offsets as columns and
+    builds its Token values only when they are read."""
+
+    @staticmethod
+    def assert_columns_match_the_reference(text):
+        got = split_sentences(text, "d")
+        expected = reference_tokens(text)
+        assert [s.texts for s in got] == [tuple(t.text for t in ts) for ts in expected]
+        assert [s.starts for s in got] == [tuple(t.start for t in ts) for ts in expected]
+        assert [s.ends for s in got] == [tuple(t.end for t in ts) for ts in expected]
+        assert [s.tokens for s in got] == expected
+        for sentence in got:
+            assert Sentence.from_tokens("d", sentence.index, sentence.tokens) == sentence
+
+    @pytest.mark.parametrize("text", SPLIT_TEXTS)
+    def test_named_texts(self, text):
+        self.assert_columns_match_the_reference(text)
+
+    @given(st.text(alphabet=split_alphabet, max_size=80) | st.text(max_size=60))
+    @settings(max_examples=300)
+    def test_ascii_and_non_ascii_text(self, text):
+        self.assert_columns_match_the_reference(text)
+
+    def test_non_ascii_offsets_are_bytes(self):
+        (sentence,) = split_sentences("Straße über İstanbul.")
+        assert sentence.texts == ("Straße", "über", "İstanbul", ".")
+        assert sentence.starts == (0, 8, 14, 23)
+        assert sentence.ends == (7, 13, 23, 24)
+
+    def test_tokens_are_built_once(self):
+        (sentence,) = split_sentences("Alpha beta.")
+        assert sentence.tokens is sentence.tokens
+        assert sentence.tokens == (Token("Alpha", 0, 5), Token("beta", 6, 10), Token(".", 10, 11))
+
+    def test_extraction_builds_no_token(self, small_run, monkeypatch):
+        """Splitting, labelling and extracting read the columns alone: with
+        Token raising, a document extracts as it does without the patch."""
+        from termex import corpus
+        from termex.cascade import extract_from_document
+
+        doc = Document(
+            id="d",
+            text="Teams deploy Kubernetes widely. Straße über İstanbul. "
+                 "Vendors adopt Apache Hive for the roadmap. Zqxv, wqpz.",
+        )
+        expected = extract_from_document(doc, small_run.models)
+        assert any(e.term_spans for e in expected)
+        gazetteer = load_gazetteer(["Kubernetes"])
+
+        def no_token(*args):
+            raise AssertionError("a Token was built")
+
+        monkeypatch.setattr(corpus, "Token", no_token)
+        assert extract_from_document(doc, small_run.models) == expected
+        sentence = split_document(doc)[0]
+        assert sentence.token_texts() == ["Teams", "deploy", "Kubernetes", "widely", "."]
+        assert label_values(annotate(sentence, gazetteer)) == ["O", "O", "T", "O", "O"]
+        with pytest.raises(AssertionError, match="a Token was built"):
+            sentence.tokens
 
 
 class TestSplitSentences:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termex import crf
 from termex.corpus import Sentence, Token, TokenLabel
 from termex.crf import (
     CrfConfig,
@@ -22,6 +23,7 @@ from termex.crf import (
     _path_scores,
     _posteriors,
     _text_sums,
+    decode,
     lbfgs_maximize,
     load_crf,
     potentials,
@@ -197,7 +199,7 @@ def make_sentence(words):
     for word in words:
         tokens.append(Token(word, at, at + len(word)))
         at += len(word) + 1
-    return Sentence(doc_id="d", index=0, tokens=tuple(tokens))
+    return Sentence.from_tokens("d", 0, tokens)
 
 
 # Default bounds, no context window, unigrams only, and wider n-gram spans.
@@ -568,7 +570,8 @@ class TestViterbi:
 
     def test_matches_enumeration_on_tied_integer_tables(self):
         # Potentials in {-1, 0, 1} make many paths tie, which exercises the
-        # tie rule at every position.
+        # tie rule at every position. viterbi_from_table feeds the table's
+        # floats to _viterbi, the one Viterbi that decode also calls.
         rng = np.random.default_rng(17)
         for _ in range(1000):
             length = int(rng.integers(1, 9))
@@ -585,6 +588,83 @@ class TestViterbi:
         transition = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         model = build_model(["f=1"], transition=transition)
         assert viterbi(model, [feats()] * 3) == [O, O, O]
+
+
+def integer_model(words, rng, window):
+    """A model that knows only the W0 features of these words, with weights
+    and transitions in {-1, 0, 1}, so that many paths tie."""
+    strings = sorted({f"W0={w.casefold()}" for w in words})
+    emission = rng.integers(-1, 2, size=(len(strings), 2)).astype(float)
+    transition = rng.integers(-1, 2, size=(3, 2)).astype(float)
+    return CrfModel(FeatureIndex(strings), emission, transition,
+                    feature_config=FeatureConfig(2, 4, window))
+
+
+class TestDecode:
+    """decode, stage II's numpy-free path, against viterbi_from_table on the
+    potentials of the same node scores and on the reference potentials."""
+
+    @given(words=words_strategy, config=st.sampled_from(ORACLE_CONFIGS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_table_decodes(self, words, config, seed):
+        model = text_model([words], config, np.random.default_rng(seed))
+        decoder, sentence = Decoder(model), make_sentence(words)
+        reference = viterbi_from_table(potentials(model, sentence_features(sentence, config)))
+        for _ in range(3):  # first sighting, admitted, then a table hit
+            assert decode(decoder, sentence.texts) == reference
+            assert decode(decoder, sentence.texts) == viterbi_from_table(sentence_potentials(decoder, sentence))
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=str)
+    @pytest.mark.parametrize("case", sorted(ORACLE_SENTENCES))
+    def test_named_cases(self, case, config):
+        words = ORACLE_SENTENCES[case]
+        model = text_model(ORACLE_SENTENCES.values(), config, np.random.default_rng(5))
+        reference = viterbi_from_table(potentials(model, sentence_features(make_sentence(words), config)))
+        decoder = Decoder(model)
+        for _ in range(3):
+            assert decode(decoder, tuple(words)) == reference
+
+    def test_long_sentence(self):
+        words = [f"w{k % 37}" if k % 5 else f"W{k % 11}" for k in range(600)]
+        model = text_model([words], FeatureConfig(), np.random.default_rng(7), 1.0)
+        reference = viterbi_from_table(potentials(model, sentence_features(make_sentence(words))))
+        assert decode(Decoder(model), words) == reference
+
+    def test_feeds_the_core_the_table_floats(self, monkeypatch):
+        """decode and viterbi_from_table call one Viterbi, and decode's clique
+        scores equal sentence_potentials' entries bit for bit."""
+        calls, core = [], crf._viterbi
+
+        def recording(start, steps):
+            calls.append((list(start), [[list(row) for row in step] for step in steps]))
+            return core(start, steps)
+
+        monkeypatch.setattr(crf, "_viterbi", recording)
+        for words in ORACLE_SENTENCES.values():
+            model = text_model([words], FeatureConfig(), np.random.default_rng(3))
+            decoder, sentence = Decoder(model), make_sentence(words)
+            calls.clear()
+            labels = decode(decoder, sentence.texts)
+            table = sentence_potentials(decoder, sentence)
+            assert labels == viterbi_from_table(table)
+            assert len(calls) == 2 and calls[0] == calls[1]
+            assert calls[1] == (table.start.tolist(), table.steps.tolist())
+
+    def test_tied_integer_weights_follow_the_tie_rule(self):
+        """1,000 decodes whose potentials are small integers, so that many
+        paths tie: decode picks enumeration's argmax under the tie rule."""
+        rng = np.random.default_rng(17)
+        vocab = ["a", "b", "C", "d", "E"]
+        for _ in range(1000):
+            words = [vocab[k] for k in rng.integers(0, len(vocab), size=int(rng.integers(1, 9)))]
+            model = integer_model(vocab, rng, window=int(rng.integers(0, 3)))
+            table = potentials(model, sentence_features(make_sentence(words), model.feature_config))
+            decoded = tuple(0 if l is T else 1 for l in decode(Decoder(model), words))
+            assert decoded == enumeration_argmax(enumerate_scores(table))
+
+    def test_empty_sentence_rejected(self):
+        with pytest.raises(ValueError, match="empty sentence"):
+            decode(Decoder(build_model(["f=1"])), ())
 
 
 class TestMarginals:

@@ -44,7 +44,7 @@ def make_sentence(words, index=0):
     for w in words:
         tokens.append(Token(w, at, at + len(w)))
         at += len(w) + 1
-    return Sentence(doc_id="d", index=index, tokens=tuple(tokens))
+    return Sentence.from_tokens("d", index, tokens)
 
 
 def shared_context_corpus(seed=0, n=500):

@@ -129,7 +129,7 @@ def make_sentence(words):
     for w in words:
         tokens.append(Token(w, at, at + len(w)))
         at += len(w) + 1
-    return Sentence(doc_id="d", index=0, tokens=tuple(tokens))
+    return Sentence.from_tokens("d", 0, tokens)
 
 
 class TestWordShape:
@@ -374,7 +374,7 @@ class TestRepeatedTexts:
         ]
 
     def test_empty_sentence(self):
-        assert sentence_features(Sentence(doc_id="d", index=0, tokens=())) == []
+        assert sentence_features(Sentence.from_tokens("d", 0, ())) == []
         assert features_from_parts([], DEFAULT_FEATURES.window) == []
 
     def test_configs_with_other_ngram_bounds_share_nothing(self):

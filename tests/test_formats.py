@@ -23,7 +23,7 @@ def labeled(words, labels, doc_id="d", index=0):
     for w in words:
         tokens.append(Token(w, at, at + len(w.encode("utf-8"))))
         at += len(w.encode("utf-8")) + 1
-    sentence = Sentence(doc_id=doc_id, index=index, tokens=tuple(tokens))
+    sentence = Sentence.from_tokens(doc_id, index, tokens)
     return LabeledSentence.from_token_labels(
         sentence, [TokenLabel(l) for l in labels]
     )

@@ -35,7 +35,7 @@ def test_every_t_run_is_a_gazetteer_entry(gazetteer):
     from termex.cascade import spans_from_labels
 
     for labeled in gold:
-        for span in spans_from_labels(labeled.sentence.tokens, labeled.token_labels):
+        for span in spans_from_labels(labeled.sentence.texts, labeled.token_labels):
             entry = tuple(
                 t.text.casefold()
                 for t in labeled.sentence.tokens[span.start : span.end + 1]
