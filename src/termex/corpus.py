@@ -4,12 +4,9 @@ dataset balancing, and train/validation/test splitting."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
-import re
 import unicodedata
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -126,8 +123,6 @@ class DatasetSplit:
     seed: int
 
 
-_WORD_RE = re.compile(r"\S+")
-_TERMINATOR_RE = re.compile(r"[.!?]")
 _ABBREVIATIONS = frozenset({"e.g.", "i.e.", "etc."})
 
 
@@ -136,28 +131,12 @@ def _is_separable(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("P", "S")
 
 
-def _char_tokens(text: str) -> list[tuple[str, int, int]]:
-    """Tokenize with character offsets; byte conversion happens later."""
-    out: list[tuple[str, int, int]] = []
-    for m in _WORD_RE.finditer(text):
-        a, b = m.span()
-        # No alphanumeric code point is in a P or S category: nothing to peel.
-        if text[a].isalnum() and text[b - 1].isalnum():
-            out.append((m.group(), a, b))
-            continue
-        i = a
-        while i < b and _is_separable(text[i]):
-            out.append((text[i], i, i + 1))
-            i += 1
-        j = b
-        trail: list[tuple[str, int, int]] = []
-        while j > i and _is_separable(text[j - 1]):
-            j -= 1
-            trail.append((text[j], j, j + 1))
-        if i < j:
-            out.append((text[i:j], i, j))
-        out.extend(reversed(trail))
-    return out
+def _is_abbreviation(chunk: str) -> bool:
+    """True when a chunk ending in a period, without the characters peeled
+    off its front, is on the stop list or is a single capital initial ("J.")."""
+    if chunk.casefold() in _ABBREVIATIONS:
+        return True
+    return len(chunk) == 2 and chunk[0].isalpha() and chunk[0].isupper()
 
 
 def _byte_offsets(text: str) -> list[int] | None:
@@ -172,62 +151,75 @@ def _byte_offsets(text: str) -> list[int] | None:
     return offs
 
 
+def _columns(text: str) -> tuple[list[str], list[int], list[int], list[int]]:
+    """Columns of token texts and UTF-8 byte offsets, and the token counts
+    after which sentences end. Each whitespace chunk sheds its edge
+    punctuation as one-character tokens. A terminator must be followed by
+    whitespace or the end of the text, so sentences are runs of whole chunks:
+    one ends after a chunk ending in .!? (but not a period after an
+    abbreviation) when no chunk follows or the next starts uppercase."""
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    cuts: list[int] = []
+    pending = False  # the previous chunk ends a sentence if this one is uppercase
+    b = 0
+    for chunk in text.split():
+        # Only whitespace lies between the previous chunk and this one.
+        a = text.index(chunk, b)
+        b = a + len(chunk)
+        if pending and chunk[0].isupper():
+            cuts.append(len(texts))
+        last = chunk[-1]
+        # No alphanumeric code point is in a P or S category: nothing to peel,
+        # and no terminator.
+        if chunk[0].isalnum() and last.isalnum():
+            texts.append(chunk)
+            starts.append(a)
+            ends.append(b)
+            pending = False
+            continue
+        i = a
+        while i < b and _is_separable(text[i]):
+            i += 1
+        j = b
+        while j > i and _is_separable(text[j - 1]):
+            j -= 1
+        texts.extend(text[a:i])
+        starts.extend(range(a, i))
+        ends.extend(range(a + 1, i + 1))
+        if i < j:
+            texts.append(text[i:j])
+            starts.append(i)
+            ends.append(j)
+        texts.extend(text[j:b])
+        starts.extend(range(j, b))
+        ends.extend(range(j + 1, b + 1))
+        pending = last in "!?" or last == "." and not _is_abbreviation(text[i:b])
+    offs = _byte_offsets(text)
+    if offs is not None:
+        starts, ends = list(map(offs.__getitem__, starts)), list(map(offs.__getitem__, ends))
+    return texts, starts, ends, cuts
+
+
 def tokenize(text: str) -> list[Token]:
     """Split on whitespace, then peel leading/trailing punctuation into
     single-character tokens. Internal punctuation stays attached, so
     "theregister.co.uk" survives whole while "PyTorch," splits in two."""
-    offs = _byte_offsets(text)
-    if offs is None:
-        return [Token(t, a, b) for t, a, b in _char_tokens(text)]
-    return [Token(t, offs[a], offs[b]) for t, a, b in _char_tokens(text)]
-
-
-def _is_abbreviation(text: str, k: int) -> bool:
-    """True when the chunk ending at the period text[k] is on the stop list
-    or is a single capital initial ("J.")."""
-    s = k
-    while s > 0 and not text[s - 1].isspace():
-        s -= 1
-    chunk = text[s : k + 1]
-    if chunk.casefold() in _ABBREVIATIONS:
-        return True
-    return len(chunk) == 2 and chunk[0].isalpha() and chunk[0].isupper()
-
-
-def _sentence_boundaries(text: str) -> list[int]:
-    """Exclusive character offsets where sentences end."""
-    n = len(text)
-    bounds: list[int] = []
-    for m in _TERMINATOR_RE.finditer(text):
-        k, ch = m.start(), m.group()
-        j = k + 1
-        if j < n and not text[j].isspace():
-            continue  # internal dot, e.g. "3.14" mid-token never reaches here
-        while j < n and text[j].isspace():
-            j += 1
-        if j < n and not text[j].isupper():
-            continue
-        if ch == "." and _is_abbreviation(text, k):
-            continue
-        bounds.append(k + 1)
-    return bounds
+    return list(map(Token, *_columns(text)[:3]))
 
 
 def split_sentences(text: str, doc_id: str = "") -> list[Sentence]:
     """Rule-based sentence splitting at ./!/? followed by whitespace and an
     uppercase letter (or end of text), with abbreviation suppression."""
-    bounds = _sentence_boundaries(text)
-    offs = _byte_offsets(text)
-    # A token's sentence is the number of boundaries at or before its start;
-    # a sentence with no tokens forms no group.
-    groups = itertools.groupby(_char_tokens(text), key=lambda tok: bisect_right(bounds, tok[1]))
-    sentences = []
-    for idx, (_, group) in enumerate(groups):
-        texts, starts, ends = zip(*group)
-        if offs is not None:
-            starts, ends = tuple(map(offs.__getitem__, starts)), tuple(map(offs.__getitem__, ends))
-        sentences.append(Sentence(doc_id, idx, texts, starts, ends))
-    return sentences
+    texts, starts, ends, cuts = _columns(text)
+    if not texts:
+        return []
+    bounds = [0, *cuts, len(texts)]
+    return [
+        Sentence(doc_id, idx, tuple(texts[p:q]), tuple(starts[p:q]), tuple(ends[p:q]))
+        for idx, (p, q) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 def split_document(doc: Document) -> list[Sentence]:

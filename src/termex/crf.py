@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -17,7 +16,7 @@ from .corpus import Sentence, TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
 from .features import BOS_WORD, EOS_WORD, LW, NG, P0, PSEQ, RW, SH0, SHSEQ, TEMPLATES, W0, W_AFTER
 from .features import W_BEFORE, FeatureConfig, FeatureIndex, _tag_token
-from .features import raw_ngrams, triples, window_slices, word_shape
+from .features import raw_ngrams, word_shape
 
 MAGIC = b"TXCRF"
 VERSION = 1
@@ -134,16 +133,22 @@ def admit(table: dict, seen: set, key, value):
 
 class Decoder:
     """Stage II's inference state for one model: one emission weight dict per
-    template prefix, keyed by the raw value after it, the transition rows as
+    template prefix, keyed by the raw value after it (a PSEQ or SHSEQ triple
+    by the tuple of its three parts), the transition rows as
     Python floats, and the per-text sums that node_scores keeps under the
     second-sighting rule of admit. PipelineModels builds one per model pair."""
 
     def __init__(self, model: CrfModel) -> None:
         self.model = model
-        # A string of no template (none in a trained model) is dropped.
+        # A string of no template (none in a trained model) is dropped, and
+        # so is a PSEQ or SHSEQ value that is not a triple: it never fires.
         self.weights: dict[str, dict] = {prefix: {} for prefix in TEMPLATES}
         for feature, row in zip(model.feature_index.strings(), model.emission_weights.tolist()):
             name, _, value = feature.partition("=")
+            if name + "=" in (PSEQ, SHSEQ):
+                value = tuple(value.split("_"))
+                if len(value) != 3:
+                    continue
             self.weights.get(name + "=", {})[value] = tuple(row)
         self.transitions = model.transition_weights.tolist()
         self.table: dict[str, tuple] = {}
@@ -171,39 +176,44 @@ def _text_sums(decoder: Decoder, text: str) -> tuple:
             local_t, local_o, weights[LW].get(word), weights[RW].get(word))
 
 
-def _window_weights(words: Sequence[str], weights: Sequence, known_at: list[int], span: slice):
-    """The weights at the positions of known_at (sorted) that lie in span,
-    each distinct word's once, first occurrence first: a fold repeated
-    inside a window fires its LW or RW feature once."""
-    inside = known_at[bisect_left(known_at, span.start) : bisect_left(known_at, span.stop)]
-    return {words[k]: weights[k] for k in inside}.values() if inside else ()
-
-
 def node_scores(decoder: Decoder, texts: Sequence[str]) -> list[tuple[float, float]]:
     """The (T, O) node scores of potentials(decoder.model, sentence_features(...))
     for a sentence of these token texts, equal within rounding: they add
     per-text weight sums (_text_sums) kept on the decoder. A position adds to
     its text's local sums its known W-1, W+1, PSEQ and SHSEQ weights, then
-    those of its window's known LW and RW folds."""
+    those of its window's known LW and RW folds, each distinct fold's once,
+    first occurrence first."""
     if not texts:
         raise ValueError("cannot build potentials for an empty sentence")
-    weights, table, seen, model = decoder.weights, decoder.table, decoder.seen, decoder.model
+    weights, table, seen = decoder.weights, decoder.table, decoder.seen
     words, tags, shapes, before, after, local_t, local_o, left, right = zip(
         *[table.get(text) or admit(table, seen, text, _text_sums(decoder, text)) for text in texts]
     )
     fired = zip(
         (weights[W_BEFORE].get(BOS_WORD), *before), (*after[1:], weights[W_AFTER].get(EOS_WORD)),
-        map(weights[PSEQ].get, triples(tags)), map(weights[SHSEQ].get, triples(shapes)),
+        map(weights[PSEQ].get, zip(("BOS", *tags), tags, (*tags[1:], "EOS"))),
+        map(weights[SHSEQ].get, zip(("BOS", *shapes), shapes, (*shapes[1:], "EOS"))),
     )
-    left_at = [k for k, w in enumerate(left) if w is not None]
-    right_at = [k for k, w in enumerate(right) if w is not None]
-    window, node = model.feature_config.window, []
+    # prev[k]: the last position before k with the same fold, or -1. Position
+    # k is its fold's first occurrence in any window that starts after prev[k].
+    last: dict[str, int] = {}
+    prev = []
+    for k, word in enumerate(words):
+        prev.append(last.get(word, -1))
+        last[word] = k
+    window, n, node = decoder.model.feature_config.window, len(words), []
     for i, (t, o, neighbours) in enumerate(zip(local_t, local_o, fired)):
-        left_of, right_of = window_slices(i, window)
-        context = (*_window_weights(words, left, left_at, left_of),
-                   *_window_weights(words, right, right_at, right_of))
-        for a, b in (*filter(None, neighbours), *context):
+        for a, b in filter(None, neighbours):
             t, o = t + a, o + b
+        lo = max(0, i - window)
+        for k in range(lo, i):
+            w = left[k]
+            if w is not None and prev[k] < lo:
+                t, o = t + w[0], o + w[1]
+        for k in range(i + 1, min(n, i + 1 + window)):
+            w = right[k]
+            if w is not None and prev[k] <= i:
+                t, o = t + w[0], o + w[1]
         node.append((t, o))
     return node
 

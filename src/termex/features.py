@@ -124,11 +124,6 @@ def triples(values: Sequence[str]) -> list[str]:
     return [f"{a}_{b}_{c}" for a, b, c in zip(padded, values, padded[2:])]
 
 
-def window_slices(i: int, window: int) -> tuple[slice, slice]:
-    """The positions whose LW and RW features fire at position i."""
-    return slice(max(0, i - window), i), slice(i + 1, i + 1 + window)
-
-
 def sentence_features(
     sentence: Sentence, config: FeatureConfig = DEFAULT_FEATURES
 ) -> list[frozenset[str]]:
@@ -160,8 +155,8 @@ def features_from_parts(parts: Sequence[tuple], window: int) -> list[frozenset[s
     )
     out = []
     for i, fired in enumerate(neighbours):
-        left_of, right_of = window_slices(i, window)
-        out.append(frozenset((*own[i], *fired, *left[left_of], *right[right_of])))
+        context = (*left[max(0, i - window) : i], *right[i + 1 : i + 1 + window])
+        out.append(frozenset((*own[i], *fired, *context)))
     return out
 
 

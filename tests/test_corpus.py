@@ -131,6 +131,8 @@ def reference_tokens(text):
             while start > 0 and not text[start - 1].isspace():
                 start -= 1
             chunk = text[start : k + 1]
+            while chunk and separable(chunk[0]):  # less its peeled front
+                chunk = chunk[1:]
             if chunk.casefold() in {"e.g.", "i.e.", "etc."}:
                 continue
             if len(chunk) == 2 and chunk[0].isalpha() and chunk[0].isupper():
@@ -163,7 +165,25 @@ SPLIT_TEXTS = [
     "",
     "   ",
     ". . .",
+    # Abbreviations and initials after leading punctuation.
+    'Tools (e.g. Hive) work. (J. Smith) wrote "etc. Next" and [i.e. Kafka] too.',
+    # A terminator followed by a closing quote, then one inside quotes.
+    'She said "Stop now." Then she left. "Go." Fine.',
+    # Trailing whitespace at the end of the text.
+    "It ends here. Really.  \n\t",
+    # Chunks made only of terminators.
+    "Really ?! What ... Next . Done !? ok",
 ]
+# Words and gaps for texts that spell abbreviations, initials and
+# terminators before capitals, which random characters almost never do.
+SPLIT_WORDS = [
+    "e.g.", "E.G.", "i.e.", "etc.", "ETC.", "J.", "j.", "(e.g.", '"etc.', "(J.", "[i.e.",
+    "3.14", "v2.", "?!", "A?.", 'said."', "...", ".", "Next", "next", "Émile", "Kafka)",
+]
+SPLIT_GAPS = [" ", "\n", "\u00a0", "  "]
+word_texts = st.lists(
+    st.tuples(st.sampled_from(SPLIT_WORDS), st.sampled_from(SPLIT_GAPS)), max_size=14
+).map(lambda pairs: "".join(word + gap for word, gap in pairs))
 split_alphabet = st.sampled_from(
     list("aZ09 .!?,;:\"'()-+€$%«»…—¿¡") + ["ß", "É", "İ", "中", "٣", "²", "\n", "\u00a0"]
 )
@@ -179,6 +199,12 @@ class TestSplitterFastPaths:
     @settings(max_examples=500)
     def test_equal_to_the_per_character_loop(self, text):
         assert split_sentences(text, "d") == reference_split(text, "d")
+
+    @given(word_texts)
+    @settings(max_examples=500)
+    def test_equal_to_the_per_character_loop_on_words(self, text):
+        for variant in (text, text.rstrip()):
+            assert split_sentences(variant, "d") == reference_split(variant, "d")
 
     def test_no_alphanumeric_code_point_is_punctuation_or_symbol(self):
         """Why a chunk with alphanumeric edges is kept whole: the edges are
@@ -265,6 +291,19 @@ class TestSplitSentences:
 
     def test_initial_suppression(self):
         assert len(split_sentences("J. Smith wrote it. Nobody read it.")) == 2
+
+    @pytest.mark.parametrize("text", [
+        "Tools (e.g. Hive) work.",
+        "It was (J. Smith) again.",
+        'A list "etc. Next" ends.',
+        "Some [i.e. Kafka] tools.",
+        "Tools «e.g. Hive» work.",
+    ])
+    def test_abbreviation_after_leading_punctuation(self, text):
+        """Punctuation peeled off a chunk's front does not hide an
+        abbreviation or an initial from the rule."""
+        (sentence,) = split_sentences(text)
+        assert sentence.token_texts() == texts(tokenize(text))
 
     def test_no_terminator(self):
         got = split_sentences("No terminator here")

@@ -667,6 +667,44 @@ class TestDecode:
             decode(Decoder(build_model(["f=1"])), ())
 
 
+class TestTripleKeys:
+    """The decoder looks PSEQ and SHSEQ weights up by the (prev, cur, next)
+    tuple. A stored value that is not a triple can match no feature string,
+    so it never fires there either."""
+
+    # Strings in sorted (id) order. The weights are powers of two, so every
+    # sum is exact in any order.
+    MODEL = build_model(
+        ["PSEQ=", "PSEQ=BOS_CAP_LOWER", "PSEQ=CAP_LOWER", "SHSEQ=X_x_x_x",
+         "SHSEQ=Xx_x_EOS", "W0=kafka"],
+        [[16.0, -32.0], [0.5, -0.25], [1.0, -2.0], [4.0, 8.0], [-0.125, 2.0], [64.0, -1.0]],
+        [[0.5, -1.0], [2.0, -4.0], [-8.0, 0.25]],
+    )
+    SENTENCES = [["Apache", "kafka"], ["Apache"], ["Kafka", "Apache", "kafka"], ["X", "x", "x", "x"]]
+
+    def test_only_triples_are_kept(self):
+        decoder = Decoder(self.MODEL)
+        assert set(decoder.weights["PSEQ="]) == {("BOS", "CAP", "LOWER")}
+        assert set(decoder.weights["SHSEQ="]) == {("Xx", "x", "EOS")}
+
+    @pytest.mark.parametrize("words", SENTENCES, ids="_".join)
+    def test_equal_to_the_reference(self, words):
+        sentence = make_sentence(words)
+        reference = potentials(self.MODEL, sentence_features(sentence, self.MODEL.feature_config))
+        decoder = Decoder(self.MODEL)
+        for _ in range(3):  # first sighting, admitted, then a table hit
+            table = sentence_potentials(decoder, sentence)
+            assert table.start.tolist() == reference.start.tolist()
+            assert table.steps.tolist() == reference.steps.tolist()
+            assert decode(decoder, sentence.texts) == viterbi_from_table(reference)
+
+    def test_the_well_formed_keys_fire(self):
+        fired = sentence_features(make_sentence(["Apache", "kafka"]))
+        assert "PSEQ=BOS_CAP_LOWER" in fired[0] and "SHSEQ=Xx_x_EOS" in fired[1]
+        table = sentence_potentials(Decoder(self.MODEL), make_sentence(["Apache", "kafka"]))
+        assert table.start.tolist() == [0.5 + 0.5, -1.0 - 0.25]
+
+
 class TestMarginals:
     def test_uniform_marginals(self):
         table = PotentialTable(start=np.zeros(2), steps=np.zeros((2, 2, 2)))
