@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateDatasetError,
     EmptyGazetteerError,
@@ -100,7 +102,7 @@ class LabeledSentence:
                 f"{len(self.token_labels)} labels for "
                 f"{len(self.sentence.texts)} tokens"
             )
-        has_t = any(l is TokenLabel.T for l in self.token_labels)
+        has_t = TokenLabel.T in self.token_labels
         expected = SentenceLabel.CONTAINS_TECH if has_t else SentenceLabel.NO_TECH
         if self.sentence_label is not expected:
             raise ValueError("sentence_label inconsistent with token labels")
@@ -110,8 +112,7 @@ class LabeledSentence:
         cls, sentence: Sentence, token_labels: Iterable[TokenLabel]
     ) -> "LabeledSentence":
         labels = tuple(token_labels)
-        has_t = any(l is TokenLabel.T for l in labels)
-        label = SentenceLabel.CONTAINS_TECH if has_t else SentenceLabel.NO_TECH
+        label = SentenceLabel.CONTAINS_TECH if TokenLabel.T in labels else SentenceLabel.NO_TECH
         return cls(sentence, labels, label)
 
 
@@ -139,16 +140,20 @@ def _is_abbreviation(chunk: str) -> bool:
     return len(chunk) == 2 and chunk[0].isalpha() and chunk[0].isupper()
 
 
-def _byte_offsets(text: str) -> list[int] | None:
-    """Cumulative UTF-8 byte offset per character index; None when ASCII."""
-    if text.isascii():
-        return None
-    offs = [0] * (len(text) + 1)
-    total = 0
-    for k, ch in enumerate(text):
-        total += len(ch.encode("utf-8"))
-        offs[k + 1] = total
-    return offs
+# The largest code points that UTF-8 encodes in 1, 2 and 3 bytes.
+_UTF8_LIMITS = np.array([0x7F, 0x7FF, 0xFFFF], dtype=np.uint32)
+
+
+def _byte_offsets(
+    text: str, starts: list[int], ends: list[int]
+) -> tuple[list[int], list[int]]:
+    """The UTF-8 byte offsets of character offsets into text, read from one
+    table of each character's encoded length built in bulk. A lone
+    surrogate raises UnicodeEncodeError, as encoding it to UTF-8 does."""
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    table = np.zeros(len(codes) + 1, dtype=np.intp)
+    np.cumsum(_UTF8_LIMITS.searchsorted(codes) + 1, out=table[1:])
+    return table[starts].tolist(), table[ends].tolist()
 
 
 def _columns(text: str) -> tuple[list[str], list[int], list[int], list[int]]:
@@ -196,9 +201,8 @@ def _columns(text: str) -> tuple[list[str], list[int], list[int], list[int]]:
         starts.extend(range(j, b))
         ends.extend(range(j + 1, b + 1))
         pending = last in "!?" or last == "." and not _is_abbreviation(text[i:b])
-    offs = _byte_offsets(text)
-    if offs is not None:
-        starts, ends = list(map(offs.__getitem__, starts)), list(map(offs.__getitem__, ends))
+    if not text.isascii():
+        starts, ends = _byte_offsets(text, starts, ends)
     return texts, starts, ends, cuts
 
 

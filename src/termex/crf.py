@@ -72,11 +72,12 @@ def _label_sums(
     bins: np.ndarray, table: np.ndarray, rows: np.ndarray, size: int
 ) -> np.ndarray:
     """Per-bin sums of the rows table[rows], shape (size, 2); each bin adds
-    its rows in array order."""
+    its rows in array order. Each label's column is gathered from a
+    contiguous copy."""
     return np.stack(
         [
-            np.bincount(bins, weights=table[rows, label], minlength=size)
-            for label in (0, 1)
+            np.bincount(bins, weights=column.take(rows), minlength=size)
+            for column in np.ascontiguousarray(table.T)
         ],
         axis=1,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -174,63 +174,216 @@ def window_mask(centers: np.ndarray, contexts: np.ndarray, window: int) -> np.nd
     return (distance <= window) & (distance > 0)
 
 
+class StepConstants(NamedTuple):
+    """What a step reads besides its rows: fixed across epochs, and shared
+    by every block with the same relative positions."""
+
+    weights: np.ndarray  # (n, width + n K): the mask, then each center's count
+    sign: np.ndarray  # (width + n K,): -1.0 for a context, +1.0 for a negative
+
+
+def step_constants(mask: np.ndarray, k: int) -> StepConstants:
+    """The constants of a block with pairs mask whose centers draw k
+    negatives each. Column width + a k + j of the weights holds center a's
+    negative j, weighted by a's context count; other centers' negatives
+    weigh 0 in row a. The weights are stored in the smallest unsigned type
+    that holds the largest count: a product with float64 promotes exactly."""
+    n, width = mask.shape
+    counts = mask.sum(axis=1)
+    dtype = np.min_scalar_type(int(counts.max(initial=0)))
+    weights = np.concatenate(
+        [mask.astype(dtype), np.diag(counts.astype(dtype)).repeat(k, axis=1)], axis=1
+    )
+    return StepConstants(weights, np.concatenate([np.full(width, -1.0), np.ones(n * k)]))
+
+
+class ScatterPlan(NamedTuple):
+    """How scatter_add writes a run of rows."""
+
+    order: np.ndarray  # a stable argsort of the rows
+    starts: np.ndarray  # where each run of equal rows starts in that order
+    distinct: np.ndarray  # the row of each run
+
+
+def scatter_plans(rows: np.ndarray, bounds: np.ndarray) -> list[ScatterPlan]:
+    """The plan of each segment rows[bounds[s]:bounds[s + 1]] (none empty),
+    from one stable argsort of (segment, row) keys. Sorting keeps the
+    segments in place, and within one it orders as a stable argsort of that
+    segment alone."""
+    sizes = np.diff(bounds)
+    keys = np.repeat(np.arange(len(sizes)) * (int(rows.max()) + 1), sizes) + rows
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    distinct = rows[order[starts]]
+    order -= np.repeat(bounds[:-1], sizes)
+    runs = starts.searchsorted(bounds)
+    starts -= np.repeat(bounds[:-1], np.diff(runs))
+    bounds, runs = bounds.tolist(), runs.tolist()
+    return [
+        ScatterPlan(order[a:b], starts[c:d], distinct[c:d])
+        for a, b, c, d in zip(bounds, bounds[1:], runs, runs[1:])
+    ]
+
+
+def center_plans(ids: np.ndarray, bounds: np.ndarray) -> list[ScatterPlan | None]:
+    """scatter_plans of each block's centers, or None for a block whose
+    centers are distinct: scatter_add then writes each row once, unsorted,
+    with the same products."""
+    return [
+        None if len(plan.distinct) == len(plan.order) else plan
+        for plan in scatter_plans(ids, bounds)
+    ]
+
+
 def scatter_add(
-    matrix: np.ndarray, rows: np.ndarray, coefficients: np.ndarray, basis: np.ndarray
+    matrix: np.ndarray,
+    rows: np.ndarray,
+    plan: ScatterPlan | None,
+    coefficients: np.ndarray,
+    basis: np.ndarray,
 ) -> None:
     """matrix[rows] += coefficients @ basis, in place, with the updates of
-    repeated rows summed.
+    repeated rows summed; plan is the rows' plan, or None if they are
+    distinct.
 
-    The rows are sorted, each distinct row's coefficients are summed by
-    np.add.reduceat, and every row is written once. np.add.at would cost
+    Each distinct row's coefficients are summed by np.add.reduceat in the
+    plan's order, and every row is written once. np.add.at would cost
     ~2.5 us per 300-wide row; a one-hot product would grow with the square
     of the rows."""
-    order = rows.argsort(kind="stable")
-    ordered = rows[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    matrix[ordered[starts]] += np.add.reduceat(coefficients[order], starts) @ basis
+    if plan is None:
+        matrix[rows] += coefficients @ basis
+    else:
+        matrix[plan.distinct] += (
+            np.add.reduceat(coefficients[plan.order], plan.starts) @ basis
+        )
 
 
 def sentence_step(
     input_vectors: np.ndarray,
     output_vectors: np.ndarray,
     centers: np.ndarray,
-    contexts: np.ndarray,
-    mask: np.ndarray,
-    negatives: np.ndarray,
+    rows: np.ndarray,
+    constants: StepConstants,
+    center_plan: ScatterPlan | None,
+    row_plan: ScatterPlan,
     lr: float,
 ) -> float:
-    """One SGD step, in place, on the summed negative-sampling loss of the
-    (centers[a], contexts[b]) pairs with mask[a, b], where each pair of
-    center a takes the K negatives negatives[a]:
-    -log s(u_context . v) - sum_k log s(-u_negative_k . v) per pair.
+    """One SGD step, in place, on the summed negative-sampling loss of a
+    block's (center, context) pairs, where each pair of center a takes a's
+    K negatives: -log s(u_context . v) - sum_k log s(-u_negative_k . v) per
+    pair.
 
+    rows holds the block's contexts, then each center's K negatives in turn.
+    constants are step_constants of the block's mask; center_plan is
+    center_plans' for the centers and row_plan scatter_plans' for the rows.
     A center's negatives are scored once and weighted by its context count,
     which is the same loss. Every gradient is taken at the parameters before
     the step. Returns the loss before the step."""
-    n, k = negatives.shape
-    width = len(contexts)
-    rows = np.concatenate([contexts, negatives.ravel()])
+    weights, sign = constants
     center_vectors = input_vectors[centers]
     block = output_vectors[rows]
     # Scores signed so that every term of the loss is log(1 + e^x): minus
     # u . v for a context, u . v for a negative.
     signed = center_vectors @ block.T
-    signed[:, :width] *= -1.0
-    # Column width + a k + j holds center a's negative j, weighted by a's
-    # context count; other centers' negatives weigh 0 in row a.
-    counts = mask.sum(axis=1)
-    weights = np.concatenate(
-        [mask, np.diag(counts).repeat(k, axis=1)], axis=1, dtype=np.float64
-    )
+    signed *= sign
     loss = float((weights * np.logaddexp(0.0, signed)).sum())
     # -lr times d loss / d (u . v): lr s(x) for a context, -lr s(x) for a
     # negative.
     step = weights / (1.0 + np.exp(-signed))
-    step[:, width:] *= -1.0
-    step *= lr
-    scatter_add(input_vectors, centers, step, block)
-    scatter_add(output_vectors, rows, step.T, center_vectors)
+    step *= sign * -lr
+    scatter_add(input_vectors, centers, center_plan, step, block)
+    scatter_add(output_vectors, rows, row_plan, step.T, center_vectors)
     return loss
+
+
+# Output rows per chunk of steps. A chunk's negatives are drawn, laid out
+# and planned together, so transient memory is bounded by the chunk.
+CHUNK_ROWS = 2**15
+# Bytes of step constants kept for reuse. Once they are spent, a block with
+# relative positions not seen before builds its constants at every step.
+PATTERN_BYTES = 2**24
+
+
+class _Step(NamedTuple):
+    centers: np.ndarray  # the block's center ids
+    contexts: np.ndarray  # its context ids
+    constants: StepConstants | None  # None: built at every step from positions
+    positions: tuple[np.ndarray, np.ndarray] | None  # of the centers and contexts
+    prefix: int  # the pairs of the sentences before it in the epoch
+    center_plan: ScatterPlan | None
+
+
+class _Chunk(NamedTuple):
+    steps: list[_Step]
+    contexts: np.ndarray  # every step's contexts, in turn
+    is_context: np.ndarray  # per row: a context (True) or a negative (False)
+    bounds: np.ndarray  # step s owns rows bounds[s]:bounds[s + 1]
+    centers: int
+
+
+def _steps(sentences: list[tuple], window: int, k: int) -> list[_Step]:
+    """Every block of the sentences (ids, positions, blocks, pairs), in
+    training order, with all that its steps read but negatives built once.
+    Blocks with the same relative positions share their constants."""
+    patterns: dict[tuple, StepConstants] = {}
+    spent = 0
+    blocks = []
+    prefix = 0
+    for ids, positions, slices, pairs in sentences:
+        for centers, contexts in slices:
+            at = positions[contexts]
+            key = (
+                centers.start - contexts.start,
+                centers.stop - contexts.start,
+                (at - at[0]).tobytes(),
+            )
+            constants, kept = patterns.get(key), None
+            if constants is None:
+                kept = (positions[centers], at)
+                constants = step_constants(window_mask(*kept, window), k)
+                size = constants.weights.nbytes + constants.sign.nbytes
+                if spent + size <= PATTERN_BYTES:
+                    patterns[key], kept = constants, None
+                    spent += size
+                else:
+                    constants = None
+            blocks.append((ids[centers], ids[contexts], constants, kept, prefix))
+        prefix += pairs
+    sizes = [len(block[0]) for block in blocks]
+    plans = center_plans(
+        np.concatenate([block[0] for block in blocks]),
+        np.cumsum([0, *sizes]),
+    )
+    return [_Step(*block, plan) for block, plan in zip(blocks, plans)]
+
+
+def _chunks(steps: list[_Step], k: int) -> list[_Chunk]:
+    """Consecutive steps with about CHUNK_ROWS rows in all, and the layout
+    of those rows: each step's contexts, then its centers' negatives."""
+    chunks = []
+    first = rows = 0
+    for last, step in enumerate(steps, 1):
+        rows += len(step.contexts) + len(step.centers) * k
+        if rows < CHUNK_ROWS and last < len(steps):
+            continue
+        part = steps[first:last]
+        widths = np.array([len(step.contexts) for step in part])
+        centers = np.array([len(step.centers) for step in part])
+        chunks.append(
+            _Chunk(
+                part,
+                np.concatenate([step.contexts for step in part]),
+                np.repeat(
+                    np.tile([True, False], len(part)),
+                    np.column_stack([widths, centers * k]).ravel(),
+                ),
+                np.concatenate(([0], np.cumsum(widths + centers * k))),
+                int(centers.sum()),
+            )
+        )
+        first, rows = last, 0
+    return chunks
 
 
 def train_skipgram(
@@ -257,8 +410,6 @@ def train_skipgram(
     if config.epochs == 0:
         return model
 
-    # Masks are built per step from positions: storing them all would cost
-    # more memory than building them costs time.
     sentences = []
     every_id = []
     total_pairs = 0
@@ -277,30 +428,38 @@ def train_skipgram(
     # without its per-call checks of p.
     cdf = np.cumsum(negative_distribution(counts))
     cdf /= cdf[-1]
+    k = config.negatives
+    chunks = _chunks(_steps(sentences, config.window, k), k)
     total_updates = total_pairs * config.epochs
-    done = 0
 
     for epoch in range(config.epochs):
         epoch_loss = 0.0
+        done = epoch * total_pairs
         # Divergent runs hit inf/nan transiently before the per-epoch
         # finiteness check raises; keep numpy quiet about it.
         with np.errstate(over="ignore", invalid="ignore"):
-            for ids, positions, blocks, pairs in sentences:
+            for chunk in chunks:
+                # One draw per chunk: rng.random fills in order, so each
+                # center still takes the same K draws.
                 negatives = cdf.searchsorted(
-                    rng.random((len(ids), config.negatives)), side="right"
+                    rng.random((chunk.centers, k)), side="right"
                 )
-                lr = config.learning_rate * (
-                    1.0 - (1.0 - 1e-4) * (done / total_updates)
-                )
-                for centers, contexts in blocks:
-                    mask = window_mask(
-                        positions[centers], positions[contexts], config.window
+                rows = np.empty(len(chunk.is_context), dtype=np.int64)
+                rows[chunk.is_context] = chunk.contexts
+                rows[~chunk.is_context] = negatives.ravel()
+                bounds = chunk.bounds.tolist()
+                plans = scatter_plans(rows, chunk.bounds)
+                for step, row_plan, lo, hi in zip(chunk.steps, plans, bounds, bounds[1:]):
+                    centers, _, constants, positions, prefix, center_plan = step
+                    if constants is None:
+                        constants = step_constants(window_mask(*positions, config.window), k)
+                    lr = config.learning_rate * (
+                        1.0 - (1.0 - 1e-4) * ((done + prefix) / total_updates)
                     )
                     epoch_loss += sentence_step(
-                        input_vectors, output_vectors, ids[centers],
-                        ids[contexts], mask, negatives[centers], lr,
+                        input_vectors, output_vectors, centers, rows[lo:hi],
+                        constants, center_plan, row_plan, lr,
                     )
-                done += pairs
         if not np.isfinite(epoch_loss):
             raise NonFiniteLossError(f"skipgram loss diverged at epoch {epoch}")
         if callback is not None:

@@ -88,12 +88,14 @@ def run_pipeline(
     if cfg.corpus_path is not None:
         docs = formats.read_corpus_jsonl(cfg.corpus_path)
         say(f"loaded {len(docs)} documents from {cfg.corpus_path}")
+        sentences = [s for doc in docs for s in split_document(doc)]
     else:
-        docs, _gold = generate_corpus(gazetteer, cfg.synth())
+        docs, gold = generate_corpus(gazetteer, cfg.synth())
         formats.write_corpus_jsonl(out / "corpus.jsonl", docs)
         say(f"synthesized {len(docs)} documents into {out / 'corpus.jsonl'}")
+        # generate_corpus has split every document, in order, already.
+        sentences = [g.sentence for g in gold]
 
-    sentences = [s for doc in docs for s in split_document(doc)]
     annotated = [annotate(s, gazetteer) for s in sentences]
     positives = sum(
         1 for s in annotated if s.sentence_label is SentenceLabel.CONTAINS_TECH

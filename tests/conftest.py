@@ -13,7 +13,10 @@ from termex.embeddings import (
     EmbeddingModel,
     SkipgramConfig,
     Vocabulary,
+    center_plans,
+    scatter_plans,
     sentence_step,
+    step_constants,
 )
 from termex.errors import ConfigError, EmptyVocabularyError
 from termex.pipeline import PipelineResult, run_pipeline
@@ -147,11 +150,22 @@ def pair_loss(input_vectors, output_vectors, centers, contexts, mask, negatives)
     return total
 
 
+def step_args(centers, contexts, mask, negatives):
+    """sentence_step's arguments after the two matrices, for one block with
+    these centers, contexts, pairs and negatives, built by the functions
+    training builds them with."""
+    rows = np.concatenate([contexts, np.ravel(negatives)])
+    constants = step_constants(mask, np.shape(negatives)[1])
+    (center_plan,) = center_plans(centers, np.array([0, len(centers)]))
+    (row_plan,) = scatter_plans(rows, np.array([0, len(rows)]))
+    return centers, rows, constants, center_plan, row_plan
+
+
 def step_gradients(input_vectors, output_vectors, centers, contexts, mask, negatives):
     """Gradients of pair_loss as the training step applies them: at learning
     rate 1 the step moves each matrix by minus its gradient."""
     inputs, outputs = input_vectors.copy(), output_vectors.copy()
-    sentence_step(inputs, outputs, centers, contexts, mask, negatives, 1.0)
+    sentence_step(inputs, outputs, *step_args(centers, contexts, mask, negatives), 1.0)
     return input_vectors - inputs, output_vectors - outputs
 
 

@@ -278,6 +278,28 @@ class TestColumnarSentences:
             sentence.tokens
 
 
+class TestByteOffsets:
+    """Non-ASCII text's columns hold UTF-8 byte offsets: those of the
+    per-character reference, on code points of every encoded length."""
+
+    alphabet = st.sampled_from(
+        list("aZ9 .,(!") + ["é", "ß", "€", "—", "“", "”", "中", "\u3000", "\u00a0"]
+        + ["\U0001f600", "\U0001d518", "\U00010348", "\n"]
+    )
+
+    @given(st.text(alphabet=alphabet, max_size=80))
+    @settings(max_examples=300)
+    def test_equal_to_the_per_character_reference(self, text):
+        TestColumnarSentences.assert_columns_match_the_reference(text)
+
+    @pytest.mark.parametrize("text", ["a \ud800 b", "\udfff.", "Next x\ud83d", "é \udc00"])
+    def test_lone_surrogates_raise_as_encoding_does(self, text):
+        with pytest.raises(UnicodeEncodeError):
+            reference_tokens(text)
+        with pytest.raises(UnicodeEncodeError):
+            split_sentences(text)
+
+
 class TestSplitSentences:
     def test_two_sentences(self):
         got = split_sentences("A works. B fails.")

@@ -16,6 +16,7 @@ from termex.embeddings import (
     SkipgramConfig,
     Vocabulary,
     build_vocab,
+    center_plans,
     embed_sentence,
     generate_pairs,
     load_embeddings,
@@ -23,17 +24,25 @@ from termex.embeddings import (
     pair_count,
     save_embeddings,
     scatter_add,
+    scatter_plans,
     sentence_blocks,
     sentence_step,
+    step_constants,
     train_skipgram,
     window_mask,
 )
-from termex.errors import ConfigError, EmptyVocabularyError, ModelFormatError
+from termex.errors import (
+    ConfigError,
+    EmptyVocabularyError,
+    ModelFormatError,
+    NonFiniteLossError,
+)
 from tests.conftest import (
     embeddings_v1_bytes,
     load_text_vectors,
     negative_sampling_loss,
     pair_loss,
+    step_args,
     step_gradients,
 )
 
@@ -69,6 +78,117 @@ def shared_context_corpus(seed=0, n=500):
 
 def cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def reference_scatter_add(matrix, rows, coefficients, basis):
+    """matrix[rows] += coefficients @ basis with a plan built for this call."""
+    order = rows.argsort(kind="stable")
+    ordered = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    matrix[ordered[starts]] += np.add.reduceat(coefficients[order], starts) @ basis
+
+
+def reference_sentence_step(
+    input_vectors, output_vectors, centers, contexts, mask, negatives, lr
+):
+    """The training step with its weights, signs and scatter plans built
+    from the mask and the negatives at every call."""
+    n, k = negatives.shape
+    width = len(contexts)
+    rows = np.concatenate([contexts, negatives.ravel()])
+    center_vectors = input_vectors[centers]
+    block = output_vectors[rows]
+    signed = center_vectors @ block.T
+    signed[:, :width] *= -1.0
+    counts = mask.sum(axis=1)
+    weights = np.concatenate(
+        [mask, np.diag(counts).repeat(k, axis=1)], axis=1, dtype=np.float64
+    )
+    loss = float((weights * np.logaddexp(0.0, signed)).sum())
+    step = weights / (1.0 + np.exp(-signed))
+    step[:, width:] *= -1.0
+    step *= lr
+    reference_scatter_add(input_vectors, centers, step, block)
+    reference_scatter_add(output_vectors, rows, step.T, center_vectors)
+    return loss
+
+
+def reference_train_skipgram(corpus, config, callback=None):
+    """train_skipgram as one loop: a mask per step, one draw of negatives
+    per sentence and epoch, and the step above. train_skipgram must match
+    it bit for bit."""
+    config.validate()
+    vocab = build_vocab(corpus, config.min_count)
+    rng = np.random.default_rng(config.seed)
+    input_vectors = (rng.random((len(vocab), config.dim)) - 0.5) / config.dim
+    model = EmbeddingModel(vocab, input_vectors)
+    if config.epochs == 0:
+        return model
+    sentences = []
+    every_id = []
+    total_pairs = 0
+    for sentence in corpus:
+        ids, positions, blocks = sentence_blocks(vocab, sentence, config.window)
+        every_id.append(ids)
+        pairs = pair_count(positions, config.window)
+        if pairs:
+            sentences.append((ids, positions, blocks, pairs))
+            total_pairs += pairs
+    if total_pairs == 0:
+        return model
+    output_vectors = np.zeros((len(vocab), config.dim))
+    counts = np.bincount(np.concatenate(every_id), minlength=len(vocab))
+    cdf = np.cumsum(negative_distribution(counts))
+    cdf /= cdf[-1]
+    total_updates = total_pairs * config.epochs
+    done = 0
+    for epoch in range(config.epochs):
+        epoch_loss = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ids, positions, blocks, pairs in sentences:
+                negatives = cdf.searchsorted(
+                    rng.random((len(ids), config.negatives)), side="right"
+                )
+                lr = config.learning_rate * (
+                    1.0 - (1.0 - 1e-4) * (done / total_updates)
+                )
+                for centers, contexts in blocks:
+                    mask = window_mask(
+                        positions[centers], positions[contexts], config.window
+                    )
+                    epoch_loss += reference_sentence_step(
+                        input_vectors, output_vectors, ids[centers],
+                        ids[contexts], mask, negatives[centers], lr,
+                    )
+                done += pairs
+        if not np.isfinite(epoch_loss):
+            raise NonFiniteLossError(f"skipgram loss diverged at epoch {epoch}")
+        if callback is not None:
+            callback(epoch, {"loss": epoch_loss / total_pairs})
+    return model
+
+
+def oracle_corpus(seed, n, long_lengths=()):
+    """Seeded sentences over a skewed vocabulary, so words repeat within a
+    sentence: single-token ones, n short and medium ones, and one per long
+    length (more than BLOCK centers). A tenth of the words in all but the
+    last sentence are seen once, so min_count 2 leaves gaps; the last is
+    gap-free."""
+    rng = np.random.default_rng(seed)
+    vocabulary = [f"w{i}" for i in range(60)]
+    weights = 1.0 / np.arange(1, 61)
+    weights /= weights.sum()
+    rare = iter(range(10**6))
+    lengths = [1, 1, 2, *rng.integers(1, 25, n), *long_lengths]
+    corpus = []
+    for index, length in enumerate(lengths):
+        rate = 0.1 if index < len(lengths) - 1 else 0.0
+        words = [
+            f"rare{next(rare)}" if rng.random() < rate else str(rng.choice(vocabulary, p=weights))
+            for _ in range(length)
+        ]
+        corpus.append(make_sentence(words, index=index))
+    return corpus
 
 
 class TestVocabulary:
@@ -233,7 +353,7 @@ class TestGradient:
             outputs = rng.normal(size=(7, 3))
             expected = pair_loss(inputs, outputs, *args)
             before = inputs.copy()
-            loss = sentence_step(inputs, outputs, *args, 0.1)
+            loss = sentence_step(inputs, outputs, *step_args(*args), 0.1)
             assert loss == pytest.approx(expected, rel=1e-12)
             assert not np.array_equal(inputs, before)
 
@@ -275,7 +395,9 @@ class TestGradient:
                 self.reference_step(
                     want_in, want_out, ids[centers], ids, mask, negatives, lr
                 )
-                sentence_step(inputs, outputs, ids[centers], ids, mask, negatives, lr)
+                sentence_step(
+                    inputs, outputs, *step_args(ids[centers], ids, mask, negatives), lr
+                )
                 np.testing.assert_allclose(inputs, want_in, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(outputs, want_out, rtol=1e-12, atol=1e-12)
 
@@ -293,10 +415,15 @@ class TestGradient:
             matrix = rng.normal(size=(size, basis.shape[1]))
             want = matrix.copy()
             np.add.at(want, rows, coefficients @ basis)
-            scatter_add(matrix, rows, coefficients, basis)
-            np.testing.assert_allclose(matrix, want, rtol=1e-12, atol=0)
-            untouched = np.setdiff1d(np.arange(size), rows)
-            assert matrix[untouched].tobytes() == want[untouched].tobytes()
+            # The plan training writes output rows with, and the one it
+            # writes centers with (None when they are distinct).
+            bounds = np.array([0, count])
+            for plan in (scatter_plans(rows, bounds)[0], center_plans(rows, bounds)[0]):
+                got = matrix.copy()
+                scatter_add(got, rows, plan, coefficients, basis)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                untouched = np.setdiff1d(np.arange(size), rows)
+                assert got[untouched].tobytes() == want[untouched].tobytes()
 
     def test_loss_sums_blocks(self):
         scores = np.array([[0.3, -1.2, 2.0], [-0.7, 0.1, 0.0]])
@@ -386,9 +513,11 @@ class TestTraining:
         seen = []
         step = embeddings.sentence_step
 
-        def recording_step(inputs, outputs, centers, contexts, mask, negatives, lr):
-            seen.append(negatives.copy())
-            return step(inputs, outputs, centers, contexts, mask, negatives, lr)
+        def recording_step(inputs, outputs, centers, rows, *rest):
+            # rows: the contexts, then each center's K negatives in turn
+            negatives = rows[len(rows) - len(centers) * cfg.negatives :]
+            seen.append(negatives.reshape(len(centers), cfg.negatives).copy())
+            return step(inputs, outputs, centers, rows, *rest)
 
         monkeypatch.setattr(embeddings, "sentence_step", recording_step)
         model = train_skipgram(corpus, cfg)
@@ -429,6 +558,126 @@ class TestTraining:
             SkipgramConfig(learning_rate=-1.0).validate()
         with pytest.raises(ConfigError):
             train_skipgram([], SkipgramConfig())
+
+
+class TestBitIdentity:
+    """train_skipgram against reference_train_skipgram: the same input
+    vectors, byte for byte, and the same loss at every epoch."""
+
+    @staticmethod
+    def both(corpus, cfg):
+        runs = []
+        for train in (train_skipgram, reference_train_skipgram):
+            losses = []
+            model = train(corpus, cfg, callback=lambda e, d: losses.append((e, d["loss"])))
+            runs.append((model.vocab.words, model.input_vectors.tobytes(), losses))
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    @pytest.mark.parametrize(
+        "window, min_count, epochs",
+        [(5, 1, 3), (2, 2, 3), (1, 1, 1), (1, 2, 3), (3, 2, 0), (130, 2, 1)],
+    )
+    @pytest.mark.parametrize("small_tables", [False, True])
+    def test_matches_the_reference(self, window, min_count, epochs, small_tables, monkeypatch):
+        # Small tables cut every epoch into chunks of a few steps and keep
+        # only the first patterns, so later blocks build theirs per step.
+        if small_tables:
+            monkeypatch.setattr(embeddings, "CHUNK_ROWS", 200)
+            monkeypatch.setattr(embeddings, "PATTERN_BYTES", 3000)
+        # The gap-free 2 BLOCK sentence has two blocks of one size and
+        # contexts, whose centers sit at different offsets in them.
+        corpus = oracle_corpus(window * 10 + min_count, 80, long_lengths=(700, 2 * BLOCK))
+        cfg = SkipgramConfig(
+            dim=6, window=window, negatives=3, epochs=epochs, min_count=min_count,
+            learning_rate=0.05, seed=window,
+        )
+        _, _, losses = self.both(corpus, cfg)
+        assert len(losses) == epochs
+
+    def test_more_steps_than_a_chunk(self):
+        corpus = oracle_corpus(11, 900)
+        cfg = SkipgramConfig(dim=4, window=2, negatives=5, epochs=2, seed=3)
+        vocab = build_vocab(corpus)
+        rows = 0
+        for sentence in corpus:
+            ids, positions, blocks = sentence_blocks(vocab, sentence, cfg.window)
+            if pair_count(positions, cfg.window):
+                rows += sum(
+                    x.stop - x.start + (c.stop - c.start) * cfg.negatives for c, x in blocks
+                )
+        assert rows > 2 * embeddings.CHUNK_ROWS
+        self.both(corpus, cfg)
+
+    def test_divergence_raises_at_the_same_epoch(self):
+        corpus = oracle_corpus(5, 60)
+        cfg = SkipgramConfig(dim=8, window=3, negatives=2, epochs=3, learning_rate=50.0)
+        outcomes = []
+        for train in (train_skipgram, reference_train_skipgram):
+            losses = []
+            with pytest.raises(NonFiniteLossError) as raised:
+                train(corpus, cfg, callback=lambda e, d: losses.append(d["loss"]))
+            outcomes.append((str(raised.value), losses))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]  # an epoch ended before the divergence
+
+    def test_kept_constants_stay_within_their_budget(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "PATTERN_BYTES", 50_000)
+        corpus = oracle_corpus(8, 0, long_lengths=(900, 900, 900))
+        window, k = 3, 5
+        vocab = build_vocab(corpus, min_count=2)
+        sentences = []
+        for sentence in corpus:
+            ids, positions, blocks = sentence_blocks(vocab, sentence, window)
+            sentences.append((ids, positions, blocks, pair_count(positions, window)))
+        steps = embeddings._steps(sentences, window, k)
+        kept = {id(s.constants): s.constants for s in steps if s.constants is not None}
+        assert sum(c.weights.nbytes + c.sign.nbytes for c in kept.values()) <= 50_000
+        rebuilt = [s for s in steps if s.constants is None]
+        assert rebuilt
+        for step in rebuilt:
+            mask = window_mask(*step.positions, window)
+            assert mask.shape == (len(step.centers), len(step.contexts))
+
+    def test_weights_hold_large_counts(self):
+        # Window 130 over 300 positions: counts reach 260, past uint8.
+        positions = np.arange(300)
+        mask = window_mask(positions, positions, 130)
+        weights, sign = step_constants(mask, 2)
+        assert weights.dtype == np.uint16
+        assert weights.max() == 260
+        assert np.array_equal(weights[:, :300], mask)
+        assert np.array_equal(weights[:, 300:], np.diag(mask.sum(axis=1)).repeat(2, axis=1))
+        assert np.array_equal(sign, np.concatenate([-np.ones(300), np.ones(600)]))
+
+
+class TestScatterPlans:
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        span=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_segment_as_if_alone(self, sizes, span, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, span, sum(sizes))
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        plans = scatter_plans(rows, bounds)
+        assert len(plans) == len(sizes)
+        for plan, lo, hi in zip(plans, bounds, bounds[1:]):
+            segment = rows[lo:hi]
+            order = segment.argsort(kind="stable")
+            ordered = segment[order]
+            starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+            assert np.array_equal(plan.order, order)
+            assert np.array_equal(plan.starts, starts)
+            assert np.array_equal(plan.distinct, ordered[starts])
+
+    def test_center_plans_leave_distinct_blocks_out(self):
+        ids = np.array([4, 1, 7, 2, 2, 5, 9])
+        plans = center_plans(ids, np.array([0, 3, 7]))
+        assert plans[0] is None
+        assert np.array_equal(plans[1].distinct, [2, 5, 9])
 
 
 class TestEmbedSentence:
