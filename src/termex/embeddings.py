@@ -175,8 +175,9 @@ def window_mask(centers: np.ndarray, contexts: np.ndarray, window: int) -> np.nd
 
 
 class StepConstants(NamedTuple):
-    """What a step reads besides its rows: fixed across epochs, and shared
-    by every block with the same relative positions."""
+    """What a step reads besides its rows. They depend only on the block's
+    relative positions: a chunk of steps builds them once per pattern, and
+    they live until the next chunk starts."""
 
     weights: np.ndarray  # (n, width + n K): the mask, then each center's count
     sign: np.ndarray  # (width + n K,): -1.0 for a context, +1.0 for a negative
@@ -298,92 +299,74 @@ def sentence_step(
 
 
 # Output rows per chunk of steps. A chunk's negatives are drawn, laid out
-# and planned together, so transient memory is bounded by the chunk.
+# and planned together, and its step constants live until the next chunk
+# starts, so transient memory is bounded by the chunk.
 CHUNK_ROWS = 2**15
-# Bytes of step constants kept for reuse. Once they are spent, a block with
-# relative positions not seen before builds its constants at every step.
-PATTERN_BYTES = 2**24
-
-
-class _Step(NamedTuple):
-    centers: np.ndarray  # the block's center ids
-    contexts: np.ndarray  # its context ids
-    constants: StepConstants | None  # None: built at every step from positions
-    positions: tuple[np.ndarray, np.ndarray] | None  # of the centers and contexts
-    prefix: int  # the pairs of the sentences before it in the epoch
-    center_plan: ScatterPlan | None
 
 
 class _Chunk(NamedTuple):
-    steps: list[_Step]
+    steps: list[tuple]  # per step: center ids, pattern, pair prefix, center plan
     contexts: np.ndarray  # every step's contexts, in turn
     is_context: np.ndarray  # per row: a context (True) or a negative (False)
     bounds: np.ndarray  # step s owns rows bounds[s]:bounds[s + 1]
     centers: int
 
 
-def _steps(sentences: list[tuple], window: int, k: int) -> list[_Step]:
+def _chunks(sentences: list[tuple], k: int) -> tuple[list[tuple], list[_Chunk]]:
     """Every block of the sentences (ids, positions, blocks, pairs), in
-    training order, with all that its steps read but negatives built once.
-    Blocks with the same relative positions share their constants."""
-    patterns: dict[tuple, StepConstants] = {}
-    spent = 0
-    blocks = []
-    prefix = 0
+    training order, cut into chunks of about CHUNK_ROWS rows; and the
+    relative positions (centers', contexts') of each distinct block
+    pattern, which a step names by its index. Blocks with the same relative
+    positions have the same constants."""
+    patterns: dict[tuple, int] = {}
+    shapes: list[tuple[np.ndarray, np.ndarray]] = []
+    chunks = []
+    steps = []
+    rows = prefix = 0
     for ids, positions, slices, pairs in sentences:
         for centers, contexts in slices:
-            at = positions[contexts]
+            at = positions[contexts] - positions[contexts.start]
             key = (
                 centers.start - contexts.start,
                 centers.stop - contexts.start,
-                (at - at[0]).tobytes(),
+                at.tobytes(),
             )
-            constants, kept = patterns.get(key), None
-            if constants is None:
-                kept = (positions[centers], at)
-                constants = step_constants(window_mask(*kept, window), k)
-                size = constants.weights.nbytes + constants.sign.nbytes
-                if spent + size <= PATTERN_BYTES:
-                    patterns[key], kept = constants, None
-                    spent += size
-                else:
-                    constants = None
-            blocks.append((ids[centers], ids[contexts], constants, kept, prefix))
+            if key not in patterns:
+                patterns[key] = len(shapes)
+                shapes.append((positions[centers] - positions[contexts.start], at))
+            steps.append((ids[centers], ids[contexts], patterns[key], prefix))
+            rows += len(at) + (centers.stop - centers.start) * k
+            if rows >= CHUNK_ROWS:
+                chunks.append(_chunk(steps, k))
+                steps, rows = [], 0
         prefix += pairs
-    sizes = [len(block[0]) for block in blocks]
+    if steps:
+        chunks.append(_chunk(steps, k))
+    return shapes, chunks
+
+
+def _chunk(steps: list[tuple], k: int) -> _Chunk:
+    """Consecutive steps (center ids, context ids, pattern, prefix) and the
+    layout of their rows: each step's contexts, then its centers' negatives."""
+    widths = np.array([len(step[1]) for step in steps])
+    centers = np.array([len(step[0]) for step in steps])
     plans = center_plans(
-        np.concatenate([block[0] for block in blocks]),
-        np.cumsum([0, *sizes]),
+        np.concatenate([step[0] for step in steps]),
+        np.concatenate(([0], np.cumsum(centers))),
     )
-    return [_Step(*block, plan) for block, plan in zip(blocks, plans)]
-
-
-def _chunks(steps: list[_Step], k: int) -> list[_Chunk]:
-    """Consecutive steps with about CHUNK_ROWS rows in all, and the layout
-    of those rows: each step's contexts, then its centers' negatives."""
-    chunks = []
-    first = rows = 0
-    for last, step in enumerate(steps, 1):
-        rows += len(step.contexts) + len(step.centers) * k
-        if rows < CHUNK_ROWS and last < len(steps):
-            continue
-        part = steps[first:last]
-        widths = np.array([len(step.contexts) for step in part])
-        centers = np.array([len(step.centers) for step in part])
-        chunks.append(
-            _Chunk(
-                part,
-                np.concatenate([step.contexts for step in part]),
-                np.repeat(
-                    np.tile([True, False], len(part)),
-                    np.column_stack([widths, centers * k]).ravel(),
-                ),
-                np.concatenate(([0], np.cumsum(widths + centers * k))),
-                int(centers.sum()),
-            )
-        )
-        first, rows = last, 0
-    return chunks
+    return _Chunk(
+        [
+            (ids, pattern, prefix, plan)
+            for (ids, _, pattern, prefix), plan in zip(steps, plans)
+        ],
+        np.concatenate([step[1] for step in steps]),
+        np.repeat(
+            np.tile([True, False], len(steps)),
+            np.column_stack([widths, centers * k]).ravel(),
+        ),
+        np.concatenate(([0], np.cumsum(widths + centers * k))),
+        int(centers.sum()),
+    )
 
 
 def train_skipgram(
@@ -429,8 +412,11 @@ def train_skipgram(
     cdf = np.cumsum(negative_distribution(counts))
     cdf /= cdf[-1]
     k = config.negatives
-    chunks = _chunks(_steps(sentences, config.window, k), k)
+    shapes, chunks = _chunks(sentences, k)
     total_updates = total_pairs * config.epochs
+    # The current chunk's step constants, by pattern: built at the pattern's
+    # first step in the chunk, released when the next chunk starts.
+    built: dict[int, StepConstants] = {}
 
     for epoch in range(config.epochs):
         epoch_loss = 0.0
@@ -439,6 +425,7 @@ def train_skipgram(
         # finiteness check raises; keep numpy quiet about it.
         with np.errstate(over="ignore", invalid="ignore"):
             for chunk in chunks:
+                built.clear()
                 # One draw per chunk: rng.random fills in order, so each
                 # center still takes the same K draws.
                 negatives = cdf.searchsorted(
@@ -450,15 +437,17 @@ def train_skipgram(
                 bounds = chunk.bounds.tolist()
                 plans = scatter_plans(rows, chunk.bounds)
                 for step, row_plan, lo, hi in zip(chunk.steps, plans, bounds, bounds[1:]):
-                    centers, _, constants, positions, prefix, center_plan = step
-                    if constants is None:
-                        constants = step_constants(window_mask(*positions, config.window), k)
+                    centers, pattern, prefix, center_plan = step
+                    if pattern not in built:
+                        built[pattern] = step_constants(
+                            window_mask(*shapes[pattern], config.window), k
+                        )
                     lr = config.learning_rate * (
                         1.0 - (1.0 - 1e-4) * ((done + prefix) / total_updates)
                     )
                     epoch_loss += sentence_step(
                         input_vectors, output_vectors, centers, rows[lo:hi],
-                        constants, center_plan, row_plan, lr,
+                        built[pattern], center_plan, row_plan, lr,
                     )
         if not np.isfinite(epoch_loss):
             raise NonFiniteLossError(f"skipgram loss diverged at epoch {epoch}")

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import struct
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -580,11 +582,10 @@ class TestBitIdentity:
     )
     @pytest.mark.parametrize("small_tables", [False, True])
     def test_matches_the_reference(self, window, min_count, epochs, small_tables, monkeypatch):
-        # Small tables cut every epoch into chunks of a few steps and keep
-        # only the first patterns, so later blocks build theirs per step.
+        # Small tables cut every epoch into chunks of a few steps, each
+        # building the constants of its own patterns.
         if small_tables:
             monkeypatch.setattr(embeddings, "CHUNK_ROWS", 200)
-            monkeypatch.setattr(embeddings, "PATTERN_BYTES", 3000)
         # The gap-free 2 BLOCK sentence has two blocks of one size and
         # contexts, whose centers sit at different offsets in them.
         corpus = oracle_corpus(window * 10 + min_count, 80, long_lengths=(700, 2 * BLOCK))
@@ -621,23 +622,60 @@ class TestBitIdentity:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1]  # an epoch ended before the divergence
 
-    def test_kept_constants_stay_within_their_budget(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "PATTERN_BYTES", 50_000)
-        corpus = oracle_corpus(8, 0, long_lengths=(900, 900, 900))
-        window, k = 3, 5
-        vocab = build_vocab(corpus, min_count=2)
-        sentences = []
+    def test_constants_live_for_one_chunk(self, monkeypatch):
+        # Long sentences with out-of-vocabulary gaps rarely repeat a
+        # pattern, short ones often do. When a chunk plans its rows, no
+        # constants built for an earlier chunk are alive; each chunk builds
+        # those of its distinct patterns once per epoch.
+        monkeypatch.setattr(embeddings, "CHUNK_ROWS", 3000)
+        corpus = oracle_corpus(8, 40, long_lengths=(400,) * 12)
+        cfg = SkipgramConfig(dim=4, window=3, negatives=5, epochs=2, min_count=2, seed=1)
+        vocab = build_vocab(corpus, cfg.min_count)
+        chunks, patterns, rows = [], {}, 0
         for sentence in corpus:
-            ids, positions, blocks = sentence_blocks(vocab, sentence, window)
-            sentences.append((ids, positions, blocks, pair_count(positions, window)))
-        steps = embeddings._steps(sentences, window, k)
-        kept = {id(s.constants): s.constants for s in steps if s.constants is not None}
-        assert sum(c.weights.nbytes + c.sign.nbytes for c in kept.values()) <= 50_000
-        rebuilt = [s for s in steps if s.constants is None]
-        assert rebuilt
-        for step in rebuilt:
-            mask = window_mask(*step.positions, window)
-            assert mask.shape == (len(step.centers), len(step.contexts))
+            ids, positions, blocks = sentence_blocks(vocab, sentence, cfg.window)
+            if not pair_count(positions, cfg.window):
+                continue
+            for centers, contexts in blocks:
+                at = positions - positions[contexts.start]
+                mask = window_mask(at[centers], at[contexts], cfg.window)
+                key = (at[centers].tobytes(), at[contexts].tobytes())
+                patterns[key] = (mask.shape, mask.tobytes())
+                width, n = contexts.stop - contexts.start, centers.stop - centers.start
+                rows += width + n * cfg.negatives
+                if rows >= embeddings.CHUNK_ROWS:
+                    chunks.append(sorted(patterns.values()))
+                    patterns, rows = {}, 0
+        if patterns:
+            chunks.append(sorted(patterns.values()))
+        assert len(chunks) > 2
+
+        planned = [0]
+        built = []  # (scatter_plans calls so far, mask, weakrefs to the constants)
+        stale = []
+        plan, build = embeddings.scatter_plans, embeddings.step_constants
+
+        def planning(rows, bounds):
+            planned[0] += 1
+            alive = [mask for _, mask, refs in built if any(ref() is not None for ref in refs)]
+            stale.extend(alive)
+            return plan(rows, bounds)
+
+        def building(mask, k):
+            constants = build(mask, k)
+            key = (mask.shape, mask.tobytes())
+            built.append((planned[0], key, [weakref.ref(a) for a in constants]))
+            return constants
+
+        monkeypatch.setattr(embeddings, "scatter_plans", planning)
+        monkeypatch.setattr(embeddings, "step_constants", building)
+        train_skipgram(corpus, cfg)
+        assert stale == []
+        by_chunk = [
+            sorted(mask for _, mask, _ in group)
+            for _, group in itertools.groupby(built, key=lambda b: b[0])
+        ]
+        assert by_chunk == chunks * cfg.epochs
 
     def test_weights_hold_large_counts(self):
         # Window 130 over 300 positions: counts reach 260, past uint8.
