@@ -166,12 +166,9 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-# The token mode scores the tagger alone, over gold-positive sentences.
 _EVALUATORS = {
     "sentence": evaluate_stage1,
-    "token": lambda models, test: evaluate_stage2(
-        models, [s for s in test if s.sentence_label is SentenceLabel.CONTAINS_TECH]
-    ),
+    "token": evaluate_stage2,
     "end_to_end": evaluate_end_to_end,
     "span": evaluate_spans,
 }

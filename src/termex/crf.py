@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import modelio
-from .corpus import Sentence, TokenLabel
+from .corpus import TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
 from .features import BOS_WORD, EOS_WORD, LW, NG, P0, PSEQ, RW, SH0, SHSEQ, TEMPLATES, W0, W_AFTER
 from .features import W_BEFORE, FeatureConfig, FeatureIndex, _tag_token
@@ -98,7 +98,7 @@ def potentials(
 ) -> PotentialTable:
     """log phi_i(prev, cur) = transition[prev, cur] + sum of emission weights
     of the features fired at i (unknown features are ignored). It adds them
-    as training does, and is the reference for sentence_potentials."""
+    as training does, and is the reference for node_scores."""
     if not features_per_position:
         raise ValueError("cannot build potentials for an empty sentence")
     ids, tokens = _flat_ids(model.feature_index, features_per_position)
@@ -219,17 +219,10 @@ def node_scores(decoder: Decoder, texts: Sequence[str]) -> list[tuple[float, flo
     return node
 
 
-def sentence_potentials(decoder: Decoder, sentence: Sentence) -> PotentialTable:
-    """The potential table of node_scores: the inference path to potentials."""
-    node = np.array(node_scores(decoder, sentence.texts))
-    start, steps = _clique_scores(decoder.model.transition_weights, node)
-    return PotentialTable(start=start, steps=steps)
-
-
 def decode(decoder: Decoder, texts: Sequence[str]) -> list[TokenLabel]:
-    """viterbi_from_table(sentence_potentials(...)) in Python floats: the
-    clique scores add each transition row to a node score, as _clique_scores
-    does, and go straight into the same Viterbi."""
+    """viterbi_from_table of node_scores' potential table, in Python floats:
+    the clique scores add each transition row to a node score, as
+    _clique_scores does, and go straight into the same Viterbi."""
     (first_t, first_o), *rest = node_scores(decoder, texts)
     (bos_t, bos_o), (tt, to), (ot, oo) = decoder.transitions
     steps = [((tt + t, to + o), (ot + t, oo + o)) for t, o in rest]
@@ -248,15 +241,6 @@ def _forward(start: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return alphas
 
 
-def _backward(steps: np.ndarray) -> np.ndarray:
-    betas = np.zeros((len(steps), steps.shape[1] + 1, 2))
-    for j in range(steps.shape[1] - 1, -1, -1):
-        betas[:, j] = np.logaddexp.reduce(
-            steps[:, j] + betas[:, j + 1, None, :], axis=2
-        )
-    return betas
-
-
 def _log_z(alphas: np.ndarray) -> np.ndarray:
     return np.logaddexp.reduce(alphas[:, -1], axis=1)
 
@@ -267,7 +251,8 @@ def _posteriors(
     """Forward-backward over a batch of equal-length chains: log Z (n,), node
     marginals (n, L, 2) and edge marginals (n, L-1, 2, 2)."""
     alphas = _forward(start, steps)
-    betas = _backward(steps)
+    # Backward scores: the forward recursion over the reversed, transposed chain.
+    betas = _forward(np.zeros_like(start), steps[:, ::-1].swapaxes(2, 3))[:, ::-1]
     log_z = _log_z(alphas)
     node = np.exp(alphas + betas - log_z[:, None, None])
     edge = np.exp(
@@ -492,21 +477,21 @@ def lbfgs_maximize(
 def train_crf(
     dataset: Sequence[TrainingSequence],
     config: CrfConfig,
-    index: FeatureIndex | None = None,
     callback: Callable[[int, dict], None] | None = None,
 ) -> CrfModel:
     """Maximize the regularized log-likelihood by L-BFGS from zero weights,
-    for at most config.epochs steps; deterministic. callback(step, metrics)
-    gets the objective, the nll (minus the objective without its l2 penalty),
-    the gradient norm and the objective evaluations so far."""
+    for at most config.epochs steps, over the features fired at
+    config.feature_min_count positions or more; deterministic.
+    callback(step, metrics) gets the objective, the nll (minus the objective
+    without its l2 penalty), the gradient norm and the objective evaluations
+    so far."""
     config.validate()
     if not dataset:
         raise ConfigError("training dataset is empty")
-    if index is None:
-        index = FeatureIndex.build(
-            (f for features, _ in dataset for f in features),
-            min_count=config.feature_min_count,
-        )
+    index = FeatureIndex.build(
+        (f for features, _ in dataset for f in features),
+        min_count=config.feature_min_count,
+    )
     prepared = prepare_dataset(dataset, index)
     split = 2 * len(index)  # x is [emission.ravel(), transition.ravel()]
 

@@ -40,9 +40,6 @@ class Vocabulary:
     def __contains__(self, word: str) -> bool:
         return word in self.index
 
-    def lookup(self, word: str) -> int | None:
-        return self.index.get(word)
-
 
 @dataclass
 class EmbeddingModel:
@@ -113,7 +110,7 @@ def generate_pairs(
     out-of-vocabulary tokens still consume window slots."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    ids = [vocab.lookup(w) for w in sentence.folded_texts()]
+    ids = [vocab.index.get(w) for w in sentence.folded_texts()]
     pairs: list[tuple[int, int]] = []
     for i, center in enumerate(ids):
         if center is None:
@@ -147,7 +144,7 @@ def sentence_blocks(
     out-of-vocabulary tokens, so those still use up window slots."""
     found = [
         (at, idx)
-        for at, idx in enumerate(map(vocab.lookup, sentence.folded_texts()))
+        for at, idx in enumerate(map(vocab.index.get, sentence.folded_texts()))
         if idx is not None
     ]
     positions = np.array([at for at, _ in found], dtype=np.int64)
@@ -466,7 +463,7 @@ def embed_sentence(model: EmbeddingModel, sentence: Sentence) -> SentenceVector:
     in-vocabulary tokens are all PUNCT-tagged (see classifier.predict)."""
     rows = [
         idx
-        for idx in (model.vocab.lookup(w) for w in sentence.folded_texts())
+        for idx in map(model.vocab.index.get, sentence.folded_texts())
         if idx is not None
     ]
     if not rows:

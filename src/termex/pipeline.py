@@ -41,7 +41,6 @@ class PipelineResult:
     models: PipelineModels
     split: DatasetSplit
     reports: dict[str, EvalReport]
-    class_counts: dict[str, int]
     paths: dict[str, str]
 
 
@@ -132,12 +131,9 @@ def run_pipeline(
     say(f"trained CRF: {len(crf.feature_index)} features")
 
     models = PipelineModels(embedding=embedding, classifier=classifier, crf=crf)
-    test_positives = [
-        s for s in split.test if s.sentence_label is SentenceLabel.CONTAINS_TECH
-    ]
     reports = {
         "sentence": evaluate_stage1(models, split.test),
-        "token": evaluate_stage2(models, test_positives),
+        "token": evaluate_stage2(models, split.test),
         "end_to_end": evaluate_end_to_end(models, split.test),
     }
     with open(out / "reports.json", "w", encoding="utf-8") as fh:
@@ -159,6 +155,5 @@ def run_pipeline(
         models=models,
         split=split,
         reports=reports,
-        class_counts={"positive": positives, "negative": negatives},
         paths=paths,
     )

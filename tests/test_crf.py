@@ -18,6 +18,7 @@ from termex.crf import (
     TABLE_SIZE,
     PotentialTable,
     _LABEL_INDEX,
+    _clique_scores,
     _forward,
     _log_z,
     _path_scores,
@@ -26,11 +27,11 @@ from termex.crf import (
     decode,
     lbfgs_maximize,
     load_crf,
+    node_scores,
     potentials,
     prepare_dataset,
     regularized_log_likelihood_and_gradient,
     save_crf,
-    sentence_potentials,
     train_crf,
     viterbi,
     viterbi_from_table,
@@ -233,6 +234,13 @@ def text_model(sentences, config, rng, keep=0.8):
     emission = rng.normal(size=(len(known), 2)) * scale
     return CrfModel(FeatureIndex(known), emission, rng.normal(size=(3, 2)),
                     feature_config=config)
+
+
+def sentence_potentials(decoder, sentence):
+    """The potential table of node_scores: the inference path to potentials."""
+    node = np.array(node_scores(decoder, sentence.texts))
+    start, steps = _clique_scores(decoder.model.transition_weights, node)
+    return PotentialTable(start=start, steps=steps)
 
 
 def assert_matches_reference(decoder, sentence):
@@ -759,6 +767,49 @@ class TestMarginals:
         assert np.isfinite(sequence_log_prob(table, labels))
 
 
+def reference_backward(steps):
+    """Log backward scores (n, L, 2) of a batch of chains, by their own loop:
+    entry [k, i, s] sums over the continuations of chain k after position i,
+    given state s at i."""
+    betas = np.zeros((len(steps), steps.shape[1] + 1, 2))
+    for j in range(steps.shape[1] - 1, -1, -1):
+        betas[:, j] = np.logaddexp.reduce(
+            steps[:, j] + betas[:, j + 1, None, :], axis=2
+        )
+    return betas
+
+
+def reference_posteriors(start, steps):
+    """_posteriors with the backward scores of reference_backward."""
+    alphas, betas = _forward(start, steps), reference_backward(steps)
+    log_z = _log_z(alphas)
+    node = np.exp(alphas + betas - log_z[:, None, None])
+    edge = np.exp(
+        alphas[:, :-1, :, None] + steps + betas[:, 1:, None, :]
+        - log_z[:, None, None, None]
+    )
+    return log_z, node, edge
+
+
+class TestPosteriors:
+    @given(
+        chains=st.integers(1, 12),
+        length=st.integers(1, 20),
+        scale=st.sampled_from([0.01, 1.0, 30.0, 700.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_the_backward_loop(self, chains, length, scale, seed):
+        """The backward pass, run as the forward one over the reversed chain
+        with each step transposed, equals its own loop bit for bit."""
+        rng = np.random.default_rng(seed)
+        start = rng.normal(size=(chains, 2)) * scale
+        steps = rng.normal(size=(chains, length - 1, 2, 2)) * scale
+        for got, expected in zip(_posteriors(start, steps), reference_posteriors(start, steps)):
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+
 def random_training_setup(rng, n_features=5, n_sequences=3, max_len=5):
     index = FeatureIndex(f"f={i}" for i in range(n_features))
     dataset = []
@@ -983,12 +1034,13 @@ class TestLbfgs:
 
     def test_matches_or_beats_gradient_ascent(self):
         rng = np.random.default_rng(22)
-        data = co_occurrence_dataset()
-        cases = [(FeatureIndex.build((f for fs, _ in data for f in fs), min_count=1), data)]
+        cases = [co_occurrence_dataset()]
         for _ in range(20):
-            cases.append(random_training_setup(rng, n_features=8, n_sequences=10, max_len=8))
-        for index, dataset in cases:
-            model = train_crf(dataset, CrfConfig(), index=index)
+            cases.append(random_training_setup(rng, n_features=8, n_sequences=10, max_len=8)[1])
+        for dataset in cases:
+            model = train_crf(dataset, CrfConfig(feature_min_count=1))
+            # Both sides train over the features that fire in the dataset.
+            index = model.feature_index
             emission, transition = gradient_ascent_reference(
                 prepare_dataset(dataset, index), len(index), model.l2
             )
@@ -1019,9 +1071,8 @@ class TestTraining:
         is normalized by ||g|| and later ones by s.y / y.y, so both runs take
         the same steps and agree to 1e-9."""
         data = co_occurrence_dataset(10)
-        index = FeatureIndex.build((f for fs, _ in data for f in fs), min_count=1)
-        a = train_crf(data, CrfConfig(l2=0.5), index=index)
-        b = train_crf(data * 2, CrfConfig(l2=1.0), index=index)
+        a = train_crf(data, CrfConfig(l2=0.5, feature_min_count=1))
+        b = train_crf(data * 2, CrfConfig(l2=1.0, feature_min_count=1))
         assert np.allclose(a.emission_weights, b.emission_weights, rtol=0, atol=1e-9)
         assert np.allclose(a.transition_weights, b.transition_weights, rtol=0, atol=1e-9)
 
@@ -1098,9 +1149,9 @@ class TestTraining:
 class TestSerialization:
     def test_round_trip_identical_decodes(self, tmp_path):
         rng = np.random.default_rng(11)
-        index, dataset = random_training_setup(rng, n_features=8, n_sequences=10)
+        _, dataset = random_training_setup(rng, n_features=8, n_sequences=10)
         model = train_crf(
-            dataset, CrfConfig(epochs=5), index=index
+            dataset, CrfConfig(epochs=5, feature_min_count=1)
         )
         path = tmp_path / "crf.bin"
         save_crf(model, path)
