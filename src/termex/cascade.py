@@ -4,13 +4,15 @@ tagger, and decoded T runs become term spans."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .classifier import ClassifierModel
 from .corpus import Document, Sentence, TokenLabel, split_document
 from .crf import CrfModel, Decoder, decode
 from .embeddings import EmbeddingModel
 from .errors import LengthMismatchError, ModelMismatchError
+
+if TYPE_CHECKING:  # classifier imports evaluation, which imports this module
+    from .classifier import ClassifierModel
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ vectors, with no hidden layer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -12,6 +13,7 @@ import numpy as np
 from . import modelio
 from .corpus import SentenceLabel
 from .embeddings import SentenceVector
+from .evaluation import ConfusionCounts, f_score
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -56,10 +58,14 @@ class ClassifierConfig:
     def validate(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be non-negative, got {self.l2}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -67,12 +73,6 @@ class ClassifierConfig:
 def new_model(d: int, seed: int = 0) -> ClassifierModel:
     rng = np.random.default_rng(seed)
     return ClassifierModel(rng.uniform(-0.01, 0.01, size=(2, d)), np.zeros(2))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _stack(batch: Sequence[Example], d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,22 +92,16 @@ def _forward(model: ClassifierModel, xs: np.ndarray) -> np.ndarray:
     return xs @ model.output_weights.T + model.bias
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last axis, shifted by its max so that no
+    exp overflows."""
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
+
+
 def _mean_nll(model: ClassifierModel, xs: np.ndarray, ys: np.ndarray) -> float:
-    logits = _forward(model, xs)
-    logp = logits - _logsumexp_rows(logits)
+    logp = _log_softmax(_forward(model, xs))
     return float(-logp[np.arange(len(ys)), ys].mean())
-
-
-def loss(model: ClassifierModel, batch: Sequence[Example]) -> float:
-    """Mean softmax cross-entropy of the batch; always >= 0."""
-    if not batch:
-        raise ValueError("loss of an empty batch is undefined")
-    return _mean_nll(model, *_stack(batch, model.d))
-
-
-def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
 
 
 def loss_and_gradients(
@@ -118,8 +112,7 @@ def loss_and_gradients(
     The L2 penalty (l2/2)*||W||^2 covers output_weights; the bias is never
     regularized."""
     n = len(ys)
-    logits = _forward(model, xs)
-    logp = logits - _logsumexp_rows(logits)
+    logp = _log_softmax(_forward(model, xs))
     value = -logp[np.arange(n), ys].mean()
 
     probs = np.exp(logp)
@@ -136,7 +129,8 @@ def loss_and_gradients(
 
 
 def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
-    """Softmax probabilities and the thresholded label; a tie goes to NoTech.
+    """Softmax probabilities and the label: ContainsTech when its logit is the
+    larger, as in cascade.gate, so a tie goes to NoTech.
 
     The vector-level reference that tests hold the cascade's gate to.
 
@@ -148,14 +142,13 @@ def predict(model: ClassifierModel, vector: SentenceVector) -> Prediction:
         raise DimensionMismatchError(
             f"sentence vector has dim {vector.values.shape}, model expects {model.d}"
         )
-    logits = _forward(model, vector.values[None, :])
-    probs = softmax(logits[0])
+    logits = _forward(model, vector.values[None, :])[0]
     label = (
         SentenceLabel.CONTAINS_TECH
-        if probs[0] > probs[1] and vector.contributing_count > 0 and not vector.punctuation_only
+        if logits[0] > logits[1] and vector.contributing_count > 0 and not vector.punctuation_only
         else SentenceLabel.NO_TECH
     )
-    return Prediction(label=label, probabilities=probs)
+    return Prediction(label=label, probabilities=np.exp(_log_softmax(logits)))
 
 
 def _f_score_against(model: ClassifierModel, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -164,11 +157,7 @@ def _f_score_against(model: ClassifierModel, xs: np.ndarray, ys: np.ndarray) -> 
     tp = int(((predicted == 0) & (ys == 0)).sum())
     fp = int(((predicted == 0) & (ys == 1)).sum())
     fn = int(((predicted == 1) & (ys == 0)).sum())
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    return f_score(ConfusionCounts(tp=tp, fp=fp, fn=fn)).f_score
 
 
 def train_classifier(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -319,8 +320,8 @@ class CrfConfig:
     def validate(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be non-negative, got {self.l2}")
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
         if self.feature_min_count < 1:
             raise ConfigError(
                 f"feature_min_count must be >= 1, got {self.feature_min_count}"

@@ -3,6 +3,7 @@ scratch, plus averaged sentence vectors for the downstream classifier."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -79,10 +80,12 @@ class SkipgramConfig:
             "min_count": self.min_count,
         }
         for name, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def build_vocab(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:

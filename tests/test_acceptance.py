@@ -19,7 +19,6 @@ from termex.classifier import (
     ClassifierConfig,
     ClassifierModel,
     load_classifier,
-    loss,
     loss_and_gradients,
     new_model,
     predict,
@@ -64,6 +63,7 @@ from termex.pipeline import run_pipeline
 from termex.synth import SynthConfig, generate_corpus
 from tests.conftest import ALL_TERMS, MULTI_TERMS, pair_loss, step_gradients
 from tests.golden import make_criterion1 as pin
+from tests.test_classifier import loss
 from tests.test_crf import log_partition, marginals
 
 T, O = TokenLabel.T, TokenLabel.O

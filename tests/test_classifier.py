@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from termex.classifier import (
     ClassifierConfig,
     ClassifierModel,
-    loss,
+    _forward,
+    _log_softmax,
+    _mean_nll,
+    _stack,
     loss_and_gradients,
     load_classifier,
     new_model,
     predict,
     save_classifier,
-    softmax,
     train_classifier,
 )
 from termex.corpus import Document, SentenceLabel, split_document
@@ -53,10 +55,23 @@ class TestSoftmax:
     @settings(max_examples=100)
     def test_sums_to_one_and_shift_invariant(self, zs):
         z = np.asarray(zs)
-        p = softmax(z)
+        p = np.exp(_log_softmax(z))
         assert abs(p.sum() - 1.0) < 1e-9
-        shifted = softmax(z + 17.5)
+        shifted = np.exp(_log_softmax(z + 17.5))
         assert np.max(np.abs(p - shifted)) < 1e-9
+
+    @pytest.mark.parametrize("logits", [[1e4, -1e4], [-1e4, 1e4], [1e4, 1e4], [-1e4, -1e4]])
+    def test_finite_at_large_logits(self, logits):
+        logp = _log_softmax(np.array(logits))
+        assert np.all(np.isfinite(logp))
+        assert abs(np.exp(logp).sum() - 1.0) < 1e-9
+
+
+def loss(model, batch):
+    """Mean softmax cross-entropy of the batch; always >= 0."""
+    if not batch:
+        raise ValueError("loss of an empty batch is undefined")
+    return _mean_nll(model, *_stack(batch, model.d))
 
 
 class TestLoss:
@@ -141,7 +156,7 @@ class TestPredict:
         bias = np.array([0.4, -0.3])
         model = ClassifierModel(np.ones((2, 2)), bias)
         p = predict(model, SentenceVector(np.zeros(2), 0))
-        assert np.allclose(p.probabilities, softmax(bias))
+        assert np.allclose(p.probabilities, np.exp(_log_softmax(bias)))
 
     def test_label_depends_on_logit_order_only(self):
         rng = np.random.default_rng(8)
@@ -156,6 +171,14 @@ class TestPredict:
             )
             assert p.label is expected
 
+    def test_one_ulp_logit_margin_is_contains_tech(self):
+        # exp(-2**-55) rounds to 1, so the probabilities tie; the logits
+        # decide, as in cascade.gate.
+        logits = np.array([0.25, np.nextafter(0.25, 0.0)])
+        p = predict(ClassifierModel(np.eye(2), np.zeros(2)), SentenceVector(logits, 2))
+        assert p.probabilities[0] == p.probabilities[1]
+        assert p.label is SentenceLabel.CONTAINS_TECH
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             predict(zero_model(2), SentenceVector(np.zeros(5), 5))
@@ -167,7 +190,7 @@ class TestPredict:
         )
         p = predict(model, SentenceVector(np.zeros(2), 0))
         assert p.label is SentenceLabel.NO_TECH
-        assert np.allclose(p.probabilities, softmax(model.bias))
+        assert np.allclose(p.probabilities, np.exp(_log_softmax(model.bias)))
 
 
 # Punctuation (PUNCT) first, then symbols and words (SYM, LOWER).
@@ -203,7 +226,7 @@ class TestPunctuationEvidence:
         assert vector.contributing_count > 0 and vector.punctuation_only
         p = predict(eager_model(model.dim), vector)
         assert p.label is SentenceLabel.NO_TECH
-        assert np.allclose(p.probabilities, softmax(np.array([3.0, -3.0])))
+        assert np.allclose(p.probabilities, np.exp(_log_softmax(np.array([3.0, -3.0]))))
 
     @pytest.mark.parametrize(
         "text", ["Zqxv, wqpz kafka.", "Deploy node.js now.", "Pay $ 5.", "Zqxv scikit-learn."]
@@ -229,7 +252,107 @@ class TestPunctuationEvidence:
         assert flags == [True, False]
 
 
+def reference_logsumexp_rows(logits):
+    """The normaliser that _log_softmax replaced, in its own operation order."""
+    m = logits.max(axis=1, keepdims=True)
+    return m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+
+
+def reference_f_score_against(model, xs, ys):
+    """The checkpoint F with its own arithmetic, from before it called
+    evaluation.f_score."""
+    logits = _forward(model, xs)
+    predicted = np.where(logits[:, 0] > logits[:, 1], 0, 1)
+    tp = int(((predicted == 0) & (ys == 0)).sum())
+    fp = int(((predicted == 0) & (ys == 1)).sum())
+    fn = int(((predicted == 1) & (ys == 0)).sum())
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2 * precision * recall / (precision + recall)
+
+
+def reference_train_classifier(train, validation, config, callback):
+    """train_classifier written out over the two reference helpers: the same
+    shuffles, SGD steps, epoch loss and best-validation checkpoint."""
+    xs, ys = _stack(train, train[0][0].values.shape[0])
+    val_xs, val_ys = _stack(validation, xs.shape[1]) if validation else (xs, ys)
+    rng = np.random.default_rng(config.seed)
+    model = new_model(xs.shape[1], seed=config.seed)
+    best, best_f = (model.output_weights.copy(), model.bias.copy()), -1.0
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(ys))
+        for at in range(0, len(ys), config.batch_size):
+            rows = order[at : at + config.batch_size]
+            logits = _forward(model, xs[rows])
+            dlogits = np.exp(logits - reference_logsumexp_rows(logits))
+            dlogits[np.arange(len(rows)), ys[rows]] -= 1.0
+            dlogits /= len(rows)
+            grad_w = dlogits.T @ xs[rows] + config.l2 * model.output_weights
+            model.output_weights -= config.learning_rate * grad_w
+            model.bias -= config.learning_rate * dlogits.sum(axis=0)
+        logits = _forward(model, xs)
+        logp = logits - reference_logsumexp_rows(logits)
+        epoch_loss = float(-logp[np.arange(len(ys)), ys].mean())
+        val_f = reference_f_score_against(model, val_xs, val_ys)
+        if val_f > best_f:
+            best, best_f = (model.output_weights.copy(), model.bias.copy()), val_f
+        callback(epoch, {"train_loss": epoch_loss, "validation_f": val_f})
+    return ClassifierModel(*best)
+
+
+CLASSES = (SentenceLabel.CONTAINS_TECH, SentenceLabel.NO_TECH)
+
+
+def noisy_set(rng, n, dim):
+    """Labelled vectors whose classes overlap, so predictions err both ways."""
+    labels = rng.integers(0, 2, size=n)
+    values = rng.normal(size=(n, dim)) + np.where(labels[:, None] == 0, 0.5, -0.5)
+    return [ex(v, CLASSES[y]) for v, y in zip(values, labels)]
+
+
+# Validation sets: none (training F stands in), noisy, all NoTech (tp = 0
+# every epoch), and each vector under both labels (tp = fp every epoch).
+VALIDATION_KINDS = ("none", "noisy", "negatives", "mirrored")
+
+
 class TestTraining:
+    @given(
+        data_seed=st.integers(0, 2**16),
+        n=st.integers(2, 60),
+        dim=st.integers(1, 6),
+        epochs=st.integers(1, 8),
+        learning_rate=st.sampled_from([0.1, 0.5, 2.0]),
+        l2=st.sampled_from([0.0, 0.3]),
+        batch_size=st.integers(1, 40),
+        seed=st.integers(0, 1000),
+        kind=st.sampled_from(VALIDATION_KINDS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_reference_trainer(
+        self, data_seed, n, dim, epochs, learning_rate, l2, batch_size, seed, kind
+    ):
+        rng = np.random.default_rng(data_seed)
+        train = noisy_set(rng, n, dim)
+        validation = {
+            "none": [],
+            "noisy": noisy_set(rng, 12, dim),
+            "negatives": [(v, SentenceLabel.NO_TECH) for v, _ in noisy_set(rng, 12, dim)],
+            "mirrored": [(v, y) for v, _ in noisy_set(rng, 6, dim) for y in CLASSES],
+        }[kind]
+        cfg = ClassifierConfig(
+            epochs=epochs, learning_rate=learning_rate, l2=l2, seed=seed, batch_size=batch_size
+        )
+        got, want = [], []
+        model = train_classifier(train, validation, cfg, callback=lambda e, m: got.append((e, m)))
+        reference = reference_train_classifier(
+            train, validation, cfg, callback=lambda e, m: want.append((e, m))
+        )
+        assert model.output_weights.tobytes() == reference.output_weights.tobytes()
+        assert model.bias.tobytes() == reference.bias.tobytes()
+        assert got == want
+
     def test_separable_toy_reaches_full_accuracy(self):
         train = toy_set()
         model = train_classifier(

@@ -206,6 +206,66 @@ class TestTrain:
         assert code == 3
 
 
+class TestRejectedConfig:
+    """A negative seed or a non-finite rate exits 2 with a one-line error,
+    before any file is written."""
+
+    @staticmethod
+    def assert_rejected(code, capsys, message):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_pipeline_seed_writes_nothing(self, how, gazetteer_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["pipeline", "--gazetteer", gazetteer_file, "--out", str(out)]
+        if how == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            ini = tmp_path / "seed.ini"
+            ini.write_text("[main]\nseed = -2\n", encoding="utf-8")
+            argv += ["--config", str(ini)]
+        self.assert_rejected(main(argv), capsys, "seed must be non-negative")
+        assert not out.exists()
+
+    def test_negative_embeddings_seed(self, synth_corpus, tmp_path, capsys):
+        corpus, _ = synth_corpus
+        out = tmp_path / "emb.bin"
+        code = main([
+            "train", "embeddings", "--corpus", str(corpus), "--out", str(out), "--seed", "-3",
+        ])
+        self.assert_rejected(code, capsys, "seed must be non-negative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage, key, value",
+        [
+            ("embeddings", "learning_rate", "nan"),
+            ("classifier", "learning_rate", "inf"),
+            ("classifier", "l2", "nan"),
+            ("crf", "l2", "nan"),
+            ("crf", "l2", "inf"),
+        ],
+    )
+    def test_non_finite_hyperparameter(
+        self, stage, key, value, synth_corpus, cli_models, tmp_path, capsys
+    ):
+        corpus, gold = synth_corpus
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{stage}]\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / f"{stage}.bin"
+        inputs = {
+            "embeddings": ["--corpus", str(corpus)],
+            "classifier": ["--train", str(gold), "--embeddings", cli_models["embeddings"]],
+            "crf": ["--train", str(gold)],
+        }[stage]
+        code = main(["train", stage, *inputs, "--out", str(out), "--config", str(ini)])
+        self.assert_rejected(code, capsys, f"{key} must be")
+        assert not out.exists()
+
+
 @pytest.fixture(scope="session")
 def cli_models(small_run):
     return small_run.paths
