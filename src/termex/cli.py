@@ -22,7 +22,7 @@ from .corpus import (
 )
 from .crf import load_crf, save_crf, train_crf
 from .embeddings import load_embeddings, save_embeddings, train_skipgram
-from .errors import InputDataError, NonFiniteLossError, TermexError
+from .errors import ConfigError, InputDataError, NonFiniteLossError, TermexError
 from .evaluation import (
     evaluate_end_to_end,
     evaluate_spans,
@@ -57,6 +57,8 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_annotate(args) -> int:
+    if args.seed < 0:  # balance would reject it, but only after --out is written
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     gazetteer = formats.read_gazetteer(_require(args.gazetteer, "gazetteer file"))
     docs = formats.read_corpus_jsonl(_require(args.corpus, "corpus file"))
     annotated = [

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateDatasetError,
     EmptyGazetteerError,
     RatioError,
@@ -279,7 +280,10 @@ def annotate(sentence: Sentence, gazetteer: Gazetteer) -> LabeledSentence:
 def balance(sentences: Sequence[LabeledSentence], seed: int) -> list[LabeledSentence]:
     """Keep every minority-class sentence and an equal-sized uniform sample
     (without replacement) of the majority class; order is then shuffled.
-    Deterministic under ``seed``."""
+    Deterministic under ``seed``, which must be non-negative: random.Random
+    would take a negative one as its absolute value."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     positive = [s for s in sentences if s.sentence_label is SentenceLabel.CONTAINS_TECH]
     negative = [s for s in sentences if s.sentence_label is SentenceLabel.NO_TECH]
     if not positive or not negative:

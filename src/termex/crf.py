@@ -8,16 +8,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import modelio
 from .corpus import TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
-from .features import BOS_WORD, EOS_WORD, LW, NG, P0, PSEQ, RW, SH0, SHSEQ, TEMPLATES, W0, W_AFTER
-from .features import W_BEFORE, FeatureConfig, FeatureIndex, _tag_token
-from .features import raw_ngrams, word_shape
+from .features import PSEQ, SHSEQ, TEMPLATES, FeatureConfig, FeatureIndex, text_share, walk
 
 MAGIC = b"TXCRF"
 VERSION = 1
@@ -27,7 +25,8 @@ _LABEL_INDEX = {TokenLabel.T: 0, TokenLabel.O: 1}
 # Transition rows: previous state BOS / T / O.
 BOS = 0
 
-TrainingSequence = tuple[Sequence[frozenset[str]], Sequence[TokenLabel]]
+# Each position's feature strings, each named once, and the gold labels.
+TrainingSequence = tuple[Sequence[Iterable[str]], Sequence[TokenLabel]]
 
 
 @dataclass(frozen=True)
@@ -53,35 +52,27 @@ class PotentialTable:
         return 1 + len(self.steps)
 
 
-def _flat_ids(
-    index: FeatureIndex,
-    features_per_position: Sequence[frozenset[str]],
-    first: int = 0,
-) -> tuple[list[int], list[int]]:
-    """Each position's known feature ids in FeatureIndex.ids order, flattened,
-    with the token number (first + position) at which each one fired."""
-    ids: list[int] = []
-    tokens: list[int] = []
-    for token, features in enumerate(features_per_position, start=first):
-        known = index.ids(features)
-        ids.extend(known)
-        tokens.extend([token] * len(known))
-    return ids, tokens
+def _layout(
+    index: FeatureIndex, positions: Sequence[Iterable[str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each position's known feature ids, in the order its strings come,
+    flattened, and the position at which each one fired."""
+    strings = itertools.chain.from_iterable(positions)
+    ids = np.fromiter(map(index.lookup, strings, itertools.repeat(-1)), np.intp)
+    tokens = np.repeat(np.arange(len(positions)), [len(features) for features in positions])
+    return ids[ids >= 0], tokens[ids >= 0]
 
 
 def _label_sums(
     bins: np.ndarray, table: np.ndarray, rows: np.ndarray, size: int
 ) -> np.ndarray:
-    """Per-bin sums of the rows table[rows], shape (size, 2); each bin adds
-    its rows in array order. Each label's column is gathered from a
-    contiguous copy."""
-    return np.stack(
-        [
-            np.bincount(bins, weights=column.take(rows), minlength=size)
-            for column in np.ascontiguousarray(table.T)
-        ],
-        axis=1,
-    )
+    """Per-bin sums of the rows table[rows], shape (size, 2), as floats even
+    with no rows; each bin adds its rows in array order. Each label's column
+    is gathered from a contiguous copy."""
+    sums = np.empty((size, 2))
+    for label, column in enumerate(np.ascontiguousarray(table.T)):
+        sums[:, label] = np.bincount(bins, weights=column.take(rows), minlength=size)
+    return sums
 
 
 def _clique_scores(
@@ -98,17 +89,14 @@ def potentials(
     model: CrfModel, features_per_position: Sequence[frozenset[str]]
 ) -> PotentialTable:
     """log phi_i(prev, cur) = transition[prev, cur] + sum of emission weights
-    of the features fired at i (unknown features are ignored). It adds them
-    as training does, and is the reference for node_scores."""
+    of the features fired at i (unknown features are ignored), added from
+    0.0 in the sorted order of their strings, whatever order a position's
+    collection has: the reference over feature sets, equal to node_scores
+    within rounding."""
     if not features_per_position:
         raise ValueError("cannot build potentials for an empty sentence")
-    ids, tokens = _flat_ids(model.feature_index, features_per_position)
-    node = _label_sums(
-        np.array(tokens, dtype=np.intp),
-        model.emission_weights,
-        np.array(ids, dtype=np.intp),
-        len(features_per_position),
-    )
+    ids, tokens = _layout(model.feature_index, [sorted(f) for f in features_per_position])
+    node = _label_sums(tokens, model.emission_weights, ids, len(features_per_position))
     start, steps = _clique_scores(model.transition_weights, node)
     return PotentialTable(start=start, steps=steps)
 
@@ -158,66 +146,41 @@ class Decoder:
 
 
 def _text_sums(decoder: Decoder, text: str) -> tuple:
-    """A token text's share of node scores: its fold, tag and shape; the
-    weight pairs (None if unknown) of the W-1 and W+1 features it fires at
-    its neighbours; the summed weights of the features it fires itself (W0,
-    P0, SH0, then each known n-gram once, in first-occurrence order, as
-    token_parts' NG strings add); and the weight pairs of its LW and RW
-    features. Every lookup is by raw value in the template's own dict."""
-    weights = decoder.weights
-    config = decoder.model.feature_config
-    word = text.casefold()
-    tag, shape = _tag_token(text).value, word_shape(text)
-    grams, walk = weights[NG], raw_ngrams(text, config.ngram_min, config.ngram_max)
-    hits = dict.fromkeys(filter(grams.__contains__, walk))
-    own = (weights[W0].get(word), weights[P0].get(tag), weights[SH0].get(shape))
+    """A token text's text_share through the decoder's weight pairs, with its
+    own items summed from 0.0 in their order into the one item of a 1-tuple."""
+    word, tag, shape, own, before, after, left, right = text_share(
+        text, decoder.model.feature_config, decoder.weights
+    )
     local_t = local_o = 0.0
-    for t, o in (*filter(None, own), *map(grams.__getitem__, hits)):
+    for t, o in own:
         local_t, local_o = local_t + t, local_o + o
-    return (word, tag, shape, weights[W_BEFORE].get(word), weights[W_AFTER].get(word),
-            local_t, local_o, weights[LW].get(word), weights[RW].get(word))
+    return word, tag, shape, ((local_t, local_o),), before, after, left, right
 
 
 def node_scores(decoder: Decoder, texts: Sequence[str]) -> list[tuple[float, float]]:
-    """The (T, O) node scores of potentials(decoder.model, sentence_features(...))
-    for a sentence of these token texts, equal within rounding: they add
-    per-text weight sums (_text_sums) kept on the decoder. A position adds to
-    its text's local sums its known W-1, W+1, PSEQ and SHSEQ weights, then
-    those of its window's known LW and RW folds, each distinct fold's once,
-    first occurrence first."""
+    """The (T, O) node scores of a sentence of these token texts: at each
+    position, the known weights of features.walk's items added from 0.0 in
+    its documented order, the order training adds a position's ids in, so
+    the two agree bit for bit. The decoder's table serves each text's own
+    items pre-summed (_text_sums); starting from that sum equals adding its
+    items, since a sum from 0.0 is never -0.0."""
     if not texts:
         raise ValueError("cannot build potentials for an empty sentence")
-    weights, table, seen = decoder.weights, decoder.table, decoder.seen
-    words, tags, shapes, before, after, local_t, local_o, left, right = zip(
-        *[table.get(text) or admit(table, seen, text, _text_sums(decoder, text)) for text in texts]
-    )
-    fired = zip(
-        (weights[W_BEFORE].get(BOS_WORD), *before), (*after[1:], weights[W_AFTER].get(EOS_WORD)),
-        map(weights[PSEQ].get, zip(("BOS", *tags), tags, (*tags[1:], "EOS"))),
-        map(weights[SHSEQ].get, zip(("BOS", *shapes), shapes, (*shapes[1:], "EOS"))),
-    )
-    # prev[k]: the last position before k with the same fold, or -1. Position
-    # k is its fold's first occurrence in any window that starts after prev[k].
-    last: dict[str, int] = {}
-    prev = []
-    for k, word in enumerate(words):
-        prev.append(last.get(word, -1))
-        last[word] = k
-    window, n, node = decoder.model.feature_config.window, len(words), []
-    for i, (t, o, neighbours) in enumerate(zip(local_t, local_o, fired)):
+    table, seen = decoder.table, decoder.seen
+    shares = [table.get(text) or admit(table, seen, text, _text_sums(decoder, text))
+              for text in texts]
+    firsts, spans = walk(shares, decoder.weights, decoder.model.feature_config.window)
+    node_t, node_o = [], []
+    for ((t, o),), neighbours in firsts:
         for a, b in filter(None, neighbours):
             t, o = t + a, o + b
-        lo = max(0, i - window)
-        for k in range(lo, i):
-            w = left[k]
-            if w is not None and prev[k] < lo:
-                t, o = t + w[0], o + w[1]
-        for k in range(i + 1, min(n, i + 1 + window)):
-            w = right[k]
-            if w is not None and prev[k] <= i:
-                t, o = t + w[0], o + w[1]
-        node.append((t, o))
-    return node
+        node_t.append(t)
+        node_o.append(o)
+    for (a, b), start, stop in spans:
+        for i in range(start, stop):
+            node_t[i] += a
+            node_o[i] += b
+    return list(zip(node_t, node_o))
 
 
 def decode(decoder: Decoder, texts: Sequence[str]) -> list[TokenLabel]:
@@ -339,8 +302,8 @@ class PreparedDataset:
     Group ``(length, first, count)`` covers tokens ``first`` to
     ``first + length * count - 1``."""
 
-    # (M,) intp: each token's known ids in FeatureIndex.ids order, so node
-    # scores add up exactly as potentials() adds them.
+    # (M,) intp: each token's known ids in the order of its strings, so node
+    # scores add up as node_scores adds the walk's items.
     feature_ids: np.ndarray
     tokens: np.ndarray  # (M,) intp
     states: np.ndarray  # (N,) intp
@@ -355,23 +318,17 @@ def prepare_dataset(
             raise LengthMismatchError(
                 f"{len(gold)} labels for {len(features_per_position)} positions"
             )
-    order = sorted(range(len(dataset)), key=lambda k: len(dataset[k][1]))
-    feature_ids: list[int] = []
-    tokens: list[int] = []
-    states: list[int] = []
-    groups: list[tuple[int, int, int]] = []
-    for length, members in itertools.groupby(order, key=lambda k: len(dataset[k][1])):
-        members = list(members)
-        groups.append((length, len(states), len(members)))
-        for k in members:
-            features_per_position, gold = dataset[k]
-            ids, fired_at = _flat_ids(index, features_per_position, first=len(states))
-            feature_ids.extend(ids)
-            tokens.extend(fired_at)
-            states.extend(_LABEL_INDEX[label] for label in gold)
+    ordered = sorted(dataset, key=lambda sequence: len(sequence[1]))
+    groups, first = [], 0
+    for length, members in itertools.groupby(ordered, key=lambda sequence: len(sequence[1])):
+        count = len(list(members))
+        groups.append((length, first, count))
+        first += length * count
+    feature_ids, tokens = _layout(index, [fired for positions, _ in ordered for fired in positions])
+    states = [_LABEL_INDEX[label] for _, gold in ordered for label in gold]
     return PreparedDataset(
-        feature_ids=np.array(feature_ids, dtype=np.intp),
-        tokens=np.array(tokens, dtype=np.intp),
+        feature_ids=feature_ids,
+        tokens=tokens,
         states=np.array(states, dtype=np.intp),
         groups=groups,
     )
@@ -490,8 +447,7 @@ def train_crf(
     if not dataset:
         raise ConfigError("training dataset is empty")
     index = FeatureIndex.build(
-        (f for features, _ in dataset for f in features),
-        min_count=config.feature_min_count,
+        (f for features, _ in dataset for f in features), min_count=config.feature_min_count
     )
     prepared = prepare_dataset(dataset, index)
     split = 2 * len(index)  # x is [emission.ravel(), transition.ravel()]

@@ -4,7 +4,6 @@ trained models, and evaluation reports out."""
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -32,7 +31,7 @@ from .evaluation import (
     evaluate_stage2,
     report_to_json,
 )
-from .features import features_from_parts, token_parts
+from .features import feature_lists
 from .synth import generate_corpus
 
 
@@ -52,20 +51,10 @@ def classifier_examples(model: EmbeddingModel, sentences: list[LabeledSentence])
 
 def crf_dataset(sentences: list[LabeledSentence], feature_config):
     """Stage-II training pairs from the gold-positive sentences only: each
-    one's sentence_features, from token parts built once per distinct text.
-
-    Feature strings are interned: each token builds its own copies of strings
-    that recur across thousands of tokens, and the training set holds them
-    all while the CRF trains."""
-    parts: dict[str, tuple] = {}
-    dataset = []
-    for s in sentences:
-        if s.sentence_label is SentenceLabel.CONTAINS_TECH:
-            row = [parts.get(text) or parts.setdefault(text, token_parts(text, feature_config))
-                   for text in s.sentence.token_texts()]
-            fired = features_from_parts(row, feature_config.window)
-            dataset.append(([frozenset(map(sys.intern, f)) for f in fired], list(s.token_labels)))
-    return dataset
+    position's feature strings, from one features.feature_lists call."""
+    positives = [s for s in sentences if s.sentence_label is SentenceLabel.CONTAINS_TECH]
+    fired = feature_lists((s.sentence.token_texts() for s in positives), feature_config)
+    return [(positions, list(s.token_labels)) for s, positions in zip(positives, fired)]
 
 
 def run_pipeline(

@@ -67,6 +67,8 @@ class SynthConfig:
     sentences_per_doc: int = 5
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_sentences < 1:
             raise ConfigError(f"n_sentences must be >= 1, got {self.n_sentences}")
         if not 0.0 < self.positive_rate < 1.0:

@@ -239,6 +239,25 @@ class TestRejectedConfig:
         self.assert_rejected(code, capsys, "seed must be non-negative")
         assert not out.exists()
 
+    def test_negative_synth_seed_writes_nothing(self, gazetteer_file, tmp_path, capsys):
+        corpus, gold = tmp_path / "corpus.jsonl", tmp_path / "gold.tsv"
+        code = main([
+            "synth", "--gazetteer", gazetteer_file, "--n", "20", "--seed", "-3",
+            "--out-corpus", str(corpus), "--out-gold", str(gold),
+        ])
+        self.assert_rejected(code, capsys, "seed must be non-negative, got -3")
+        assert not corpus.exists() and not gold.exists()
+
+    def test_negative_annotate_seed_writes_nothing(self, synth_corpus, gazetteer_file, tmp_path, capsys):
+        corpus, _ = synth_corpus
+        out, balanced = tmp_path / "annotated.tsv", tmp_path / "balanced.tsv"
+        code = main([
+            "annotate", "--corpus", str(corpus), "--gazetteer", gazetteer_file,
+            "--out", str(out), "--balanced-out", str(balanced), "--seed", "-5",
+        ])
+        self.assert_rejected(code, capsys, "seed must be non-negative, got -5")
+        assert not out.exists() and not balanced.exists()
+
     @pytest.mark.parametrize(
         "stage, key, value",
         [

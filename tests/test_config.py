@@ -2,7 +2,7 @@ import pytest
 
 from termex.classifier import ClassifierConfig
 from termex.cli import main
-from termex.config import load_run_config
+from termex.config import RunConfig, load_run_config
 from termex.crf import CrfConfig
 from termex.embeddings import SkipgramConfig
 from termex.errors import ConfigError
@@ -91,3 +91,16 @@ class TestLoadRunConfig:
         ])
         assert code == 2
         assert "workers" in capsys.readouterr().err
+
+
+class TestRunConfigValidate:
+    def test_negative_seed_rejected(self):
+        # Only the synth seed reads RunConfig.seed set in Python: random.Random
+        # would take -1 as 1, so synthesis, balancing and the split would run
+        # as seed 1.
+        cfg = RunConfig()
+        cfg.seed = -1
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            cfg.validate()
+        cfg.seed = 0
+        cfg.validate()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termex import crf
-from termex.corpus import Sentence, Token, TokenLabel
+from termex.corpus import LabeledSentence, Sentence, Token, TokenLabel
 from termex.crf import (
     CrfConfig,
     CrfModel,
@@ -20,6 +20,7 @@ from termex.crf import (
     _LABEL_INDEX,
     _clique_scores,
     _forward,
+    _label_sums,
     _log_z,
     _path_scores,
     _posteriors,
@@ -38,13 +39,16 @@ from termex.crf import (
 )
 from termex.errors import ConfigError, LengthMismatchError
 from termex.features import (
+    TEMPLATES,
     FeatureConfig,
     FeatureIndex,
+    _Strings,
     _tag_token,
     sentence_features,
-    token_parts,
+    text_share,
     word_shape,
 )
+from termex.pipeline import crf_dataset
 from tests.conftest import gradient_ascent_reference
 
 T, O = TokenLabel.T, TokenLabel.O
@@ -52,6 +56,11 @@ T, O = TokenLabel.T, TokenLabel.O
 
 def feats(*names):
     return frozenset(names)
+
+
+def raw_keys():
+    """The lookups over raw keys that crf_dataset walks with."""
+    return {prefix: _Strings(prefix) for prefix in TEMPLATES}
 
 
 def build_model(feature_names, emission=None, transition=None, l2=1.0):
@@ -121,13 +130,18 @@ def marginals(table):
     return node[0], edge[0]
 
 
+def known_ids(index, features):
+    """The known ids of a feature set, in the sorted order of its strings."""
+    return [index.lookup(f) for f in sorted(features) if f in index]
+
+
 def reference_potentials(model, features_per_position):
     """Per-position emission sums, as a plain loop over the known ids in the
     sorted order of their strings."""
     index = model.feature_index
     node = np.zeros((len(features_per_position), 2))
     for i, features in enumerate(features_per_position):
-        ids = [index.lookup(f) for f in sorted(features) if f in index]
+        ids = known_ids(index, features)
         if ids:
             node[i] = model.emission_weights[ids].sum(axis=0)
     transition = model.transition_weights
@@ -251,7 +265,7 @@ def assert_matches_reference(decoder, sentence):
     reference = potentials(model, fired)
     table = sentence_potentials(decoder, sentence)
     weight = np.array(
-        [np.abs(model.emission_weights[model.feature_index.ids(f)]).sum(axis=0) for f in fired]
+        [np.abs(model.emission_weights[known_ids(model.feature_index, f)]).sum(axis=0) for f in fired]
     ).reshape(-1, 2)
     tolerance = 1e-12 * (1.0 + weight)
     assert np.all(np.abs(table.start - reference.start) <= tolerance[0])
@@ -336,18 +350,16 @@ class TestSentencePotentials:
         assert len({id(entry) for table in tables for entry in table.values()}) == 9
 
 
-def ordered_potentials(model, words):
-    """sentence_potentials' documented float order, written plainly over
-    feature strings: at each position, from 0.0, add the known weights of
-    W0, P0, SH0 and each distinct n-gram (first occurrence first), then W-1,
-    W+1, PSEQ and SHSEQ, then LW for each distinct fold of the left window
-    and RW for each of the right one, both in first-occurrence order."""
-    weights = dict(zip(model.feature_index.strings(), model.emission_weights.tolist()))
-    config, n = model.feature_config, len(words)
+def ordered_strings(config, words):
+    """Each position's feature strings in the documented order, written
+    plainly: W0, P0, SH0 and each distinct n-gram (first occurrence first),
+    then W-1, W+1, PSEQ and SHSEQ, then LW for each distinct fold of the left
+    window and RW for each of the right one, both in first-occurrence order."""
+    n = len(words)
     folds = [w.casefold() for w in words]
     tags = ["BOS", *(_tag_token(w).value for w in words), "EOS"]
     shapes = ["BOS", *map(word_shape, words), "EOS"]
-    node = np.empty((n, 2))
+    out = []
     for i, word in enumerate(words):
         marked = "<" + word.lower() + ">"
         grams = [marked[at : at + k] for k in range(config.ngram_min, min(config.ngram_max, len(marked)) + 1)
@@ -364,6 +376,17 @@ def ordered_potentials(model, words):
             *(f"LW={f}" for f in dict.fromkeys(left)),
             *(f"RW={f}" for f in dict.fromkeys(right)),
         ]
+        out.append(strings)
+    return out
+
+
+def ordered_potentials(model, words):
+    """sentence_potentials' documented float order: at each position, from
+    0.0, add the known weights of its ordered_strings in order."""
+    weights = dict(zip(model.feature_index.strings(), model.emission_weights.tolist()))
+    n = len(words)
+    node = np.empty((n, 2))
+    for i, strings in enumerate(ordered_strings(model.feature_config, words)):
         t = o = 0.0
         for feature in strings:
             if feature in weights:
@@ -395,6 +418,32 @@ def assert_in_documented_order(model, words):
     decoder = Decoder(model)
     for _ in range(3):
         assert_same_table(sentence_potentials(decoder, make_sentence(words)), expected)
+
+
+def training_node_scores(model, words):
+    """The node scores training adds for a sentence of these words: its
+    crf_dataset positions laid out by prepare_dataset, summed by _label_sums
+    as the objective sums them; and the ids laid out at each position."""
+    labels = [T] + [O] * (len(words) - 1)
+    sentence = LabeledSentence.from_token_labels(make_sentence(words), labels)
+    prepared = prepare_dataset(crf_dataset([sentence], model.feature_config), model.feature_index)
+    node = _label_sums(prepared.tokens, model.emission_weights, prepared.feature_ids, len(words))
+    ids = [prepared.feature_ids[prepared.tokens == i].tolist() for i in range(len(words))]
+    return node, ids
+
+
+def assert_training_adds_as_decode(model, words):
+    """Training lays out each position's known ids in the documented order,
+    so its node scores equal node_scores bit for bit on every sighting."""
+    node, ids = training_node_scores(model, words)
+    index = model.feature_index
+    assert ids == [[index.lookup(f) for f in strings if f in index]
+                   for strings in ordered_strings(model.feature_config, words)]
+    decoder = Decoder(model)
+    for _ in range(3):
+        scores = node_scores(decoder, tuple(words))
+        assert scores == [tuple(row) for row in node.tolist()]
+        assert np.array(scores).tobytes() == node.tobytes()
 
 
 # Known folds repeated inside one window; known folds exactly window
@@ -443,6 +492,31 @@ class TestDocumentedOrder:
             assert_in_documented_order(text_model([words], config, np.random.default_rng(7), 1.0), words)
 
 
+class TestTrainingAddsAsDecode:
+    @given(words=words_strategy, config=st.sampled_from(ORACLE_CONFIGS),
+           seed=st.integers(0, 2**32 - 1), keep=st.sampled_from([0.2, 0.8, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_on_random_sentences(self, words, config, seed, keep):
+        assert_training_adds_as_decode(text_model([words], config, np.random.default_rng(seed), keep), words)
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=str)
+    @pytest.mark.parametrize("case", sorted(ORACLE_SENTENCES))
+    def test_named_cases(self, case, config):
+        model = text_model(ORACLE_SENTENCES.values(), config, np.random.default_rng(6))
+        assert_training_adds_as_decode(model, ORACLE_SENTENCES[case])
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3, 4])
+    def test_known_folds_at_the_window_edges(self, window):
+        config = FeatureConfig(2, 4, window)
+        model = context_model(EDGE_WORDS, config, {"k0", "k6"}, np.random.default_rng(window))
+        assert_training_adds_as_decode(model, EDGE_WORDS)
+
+    def test_long_sentence_of_known_words(self):
+        words = [f"w{k % 37}" if k % 5 else f"W{k % 11}" for k in range(600)]
+        model = text_model([words], FeatureConfig(1, 3, 9), np.random.default_rng(7), 1.0)
+        assert_training_adds_as_decode(model, words)
+
+
 # Unigrams only, default bounds, wide spans, and a floor that "<a>" is under.
 RAW_CONFIGS = [
     FeatureConfig(1, 1, 1),
@@ -457,15 +531,15 @@ RAW_TEXTS = ["aaaa", "Aaaa", "İ", "İstanbul", "ß", "Straße", "a", "ab", "C++
 
 
 def assert_local_sums_exact(text, config, seed, keep):
-    """_text_sums' local sums equal, bit for bit, the known weights of
-    token_parts' own strings added in tuple order."""
+    """_text_sums' local sums equal, bit for bit, the known weights of the
+    own strings of text_share over raw keys added in tuple order."""
     model = text_model([[text], RAW_TEXTS], config, np.random.default_rng(seed), keep)
     weights = dict(zip(model.feature_index.strings(), model.emission_weights.tolist()))
     local_t = local_o = 0.0
-    for feature in token_parts(text, config)[3]:
+    for feature in text_share(text, config, raw_keys())[3]:
         if feature in weights:
             local_t, local_o = local_t + weights[feature][0], local_o + weights[feature][1]
-    assert _text_sums(Decoder(model), text)[5:7] == (local_t, local_o)
+    assert _text_sums(Decoder(model), text)[3] == ((local_t, local_o),)
 
 
 class TestRawNgramSums:
@@ -904,7 +978,7 @@ class TestObjective:
             ref_value = -0.5 * l2 * ((emission**2).sum() + (transition**2).sum())
             ref_e, ref_t = -l2 * emission, -l2 * transition
             for features, labels in dataset:
-                ids = [model.feature_index.ids(f) for f in features]
+                ids = [known_ids(model.feature_index, f) for f in features]
                 scores = enumerate_scores(potentials(model, features))
                 log_z = np.logaddexp.reduce(np.array(list(scores.values())))
                 gold = tuple(0 if l is T else 1 for l in labels)
@@ -1137,6 +1211,14 @@ class TestTraining:
         for features in (FeatureConfig(1, 1, 0), FeatureConfig(3, 3, 1), *ORACLE_CONFIGS):
             CrfConfig(feature_config=features).validate()
 
+    def test_no_feature_at_min_count_trains_the_transitions(self):
+        """A dataset in which no feature fires twice keeps no feature at the
+        default min count, and trains the transitions alone."""
+        dataset = [([feats("W0=a"), feats("W0=b")], [T, O]), ([feats("W0=c")], [T])]
+        model = train_crf(dataset, CrfConfig(epochs=5))
+        assert len(model.feature_index) == 0 and model.emission_weights.shape == (0, 2)
+        assert model.transition_weights[0, 0] > model.transition_weights[0, 1]
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_crf([], CrfConfig())
@@ -1144,6 +1226,31 @@ class TestTraining:
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatchError):
             train_crf([([feats("a=1")], [T, O])], CrfConfig(epochs=1))
+
+
+class TestWalkKeepsTheFeatures:
+    """The walk changes the order training adds in, never which features a
+    model holds or fires."""
+
+    @given(sentences=st.lists(words_strategy, min_size=1, max_size=5),
+           config=st.sampled_from(ORACLE_CONFIGS), min_count=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_index_and_ids_equal_those_of_the_sets(self, sentences, config, min_count):
+        labeled = [LabeledSentence.from_token_labels(make_sentence(words), [T] + [O] * (len(words) - 1))
+                   for words in sentences]
+        dataset = crf_dataset(labeled, config)
+        sets = [sentence_features(make_sentence(words), config) for words in sentences]
+        assert [[frozenset(fired) for fired in positions] for positions, _ in dataset] == sets
+        assert all(len(fired) == len(set(fired)) for positions, _ in dataset for fired in positions)
+
+        model = train_crf(dataset, CrfConfig(epochs=0, feature_min_count=min_count, feature_config=config))
+        reference = FeatureIndex.build((fired for positions in sets for fired in positions), min_count)
+        assert model.feature_index.strings() == reference.strings()
+        prepared = prepare_dataset(dataset, model.feature_index)
+        by_length = sorted(range(len(sets)), key=lambda k: len(sets[k]))
+        expected = [known_ids(reference, fired) for k in by_length for fired in sets[k]]
+        got = [sorted(prepared.feature_ids[prepared.tokens == t].tolist()) for t in range(len(expected))]
+        assert got == expected
 
 
 class TestSerialization:

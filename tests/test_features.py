@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from termex.corpus import LabeledSentence, Sentence, SentenceLabel, Token, TokenLabel
 from termex.features import (
     DEFAULT_FEATURES,
+    TEMPLATES,
     CoarsePosTag,
     FeatureConfig,
     FeatureIndex,
+    _Strings,
     _tag_token,
-    features_from_parts,
+    feature_lists,
     sentence_features,
-    token_parts,
+    text_share,
     word_shape,
 )
 from termex.pipeline import crf_dataset
@@ -375,7 +377,9 @@ class TestRepeatedTexts:
 
     def test_empty_sentence(self):
         assert sentence_features(Sentence.from_tokens("d", 0, ())) == []
-        assert features_from_parts([], DEFAULT_FEATURES.window) == []
+        empty, one, after = feature_lists([(), ("a",), ()], DEFAULT_FEATURES)
+        assert empty == after == []
+        assert [frozenset(fired) for fired in one] == sentence_features(make_sentence(["a"]))
 
     def test_configs_with_other_ngram_bounds_share_nothing(self):
         s = make_sentence(["Apache", "Hive"])
@@ -386,12 +390,22 @@ class TestRepeatedTexts:
                     extract_features(s, i, config) for i in range(2)
                 ]
 
-    def test_token_parts_are_immutable(self):
+    def test_text_shares_are_immutable(self):
+        lookups = {prefix: _Strings(prefix) for prefix in TEMPLATES}
         for text in ("Apache", "Hive", "2,019", "ab-CD"):
-            parts = token_parts(text, DEFAULT_FEATURES)
-            assert isinstance(parts, tuple)
-            assert all(isinstance(part, (str, tuple)) for part in parts)
-            hash(parts)  # raises if any part, the n-grams among them, is mutable
+            share = text_share(text, DEFAULT_FEATURES, lookups)
+            assert isinstance(share, tuple)
+            assert all(isinstance(part, (str, tuple)) for part in share)
+            hash(share)  # raises if any part, the own strings among them, is mutable
+
+    def test_positions_share_no_lists(self):
+        """A position's list is its own: changing one leaves every later
+        sighting of the same texts as the reference."""
+        s = make_sentence(["Apache", "Hive", "hive"])
+        first, second = feature_lists([s.texts, s.texts], DEFAULT_FEATURES)
+        for fired in first:
+            fired.clear()
+        assert [frozenset(fired) for fired in second] == [extract_features(s, i) for i in range(3)]
 
     def test_crf_dataset_matches_the_reference(self):
         first = [
@@ -409,10 +423,10 @@ class TestRepeatedTexts:
                 positives = [
                     s for s in sentences if s.sentence_label is SentenceLabel.CONTAINS_TECH
                 ]
-                assert crf_dataset(sentences, config) == [
-                    (sentence_features(s.sentence, config), list(s.token_labels))
-                    for s in positives
-                ]
+                assert [
+                    ([frozenset(fired) for fired in positions], labels)
+                    for positions, labels in crf_dataset(sentences, config)
+                ] == [(sentence_features(s.sentence, config), list(s.token_labels)) for s in positives]
 
 
 class TestFeatureIndex:
@@ -426,15 +440,14 @@ class TestFeatureIndex:
 
     def test_dense_ids(self):
         index = FeatureIndex.build([frozenset({"a=1", "b=2", "c=3"})] * 2, min_count=2)
-        assert sorted(index.ids(frozenset({"a=1", "b=2", "c=3"}))) == [0, 1, 2]
+        assert sorted(map(index.lookup, ["c=3", "a=1", "b=2"])) == [0, 1, 2]
 
     def test_ids_in_sorted_string_order(self):
         # Strings arrive out of order, and the index numbers them in sorted
         # order, so the ids of a lookup follow the strings.
         index = FeatureIndex(["z=1", "a=2", "m=3", "b=4"])
         assert [index.lookup(f) for f in ("a=2", "b=4", "m=3", "z=1")] == [0, 1, 2, 3]
-        fired = frozenset({"m=3", "z=1", "b=4", "a=2", "unseen=0"})
-        assert index.ids(fired) == [0, 1, 2, 3]
+        assert [index.lookup(f, -1) for f in ("m=3", "unseen=0", "a=2")] == [2, -1, 0]
 
     def test_build_numbers_kept_features_in_sorted_order(self):
         rng = random.Random(0)
@@ -456,12 +469,13 @@ class TestFeatureIndex:
     def test_ids_follow_string_order(self, strings, data):
         index = FeatureIndex(strings)
         fired = data.draw(st.sets(st.sampled_from(strings + ["unknown=", "zz"])))
-        expected = [index.lookup(f) for f in sorted(fired) if f in index]
-        assert index.ids(frozenset(fired)) == expected
+        ids = [index.lookup(f) for f in sorted(fired) if f in index]
+        assert ids == sorted(ids) == [index.lookup(f) for f in sorted(fired & set(strings))]
 
     def test_unknown_ids_are_dropped(self):
         index = FeatureIndex.build([frozenset({"a=1"})] * 2, min_count=2)
-        assert index.ids(frozenset({"unseen=9"})) == []
+        assert "unseen=9" not in index
+        assert index.lookup("unseen=9") is None and index.lookup("unseen=9", -1) == -1
 
     def test_strings_in_id_order(self):
         index = FeatureIndex(["z=1", "a=2", "m=3"])
