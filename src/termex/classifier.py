@@ -3,7 +3,6 @@ vectors, with no hidden layer."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -11,6 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import modelio
+from .config import ClassifierConfig, check
 from .corpus import SentenceLabel
 from .embeddings import SentenceVector
 from .evaluation import ConfusionCounts, f_score
@@ -45,29 +45,6 @@ class ClassifierModel:
 class Prediction:
     label: SentenceLabel
     probabilities: np.ndarray  # (2,) in CLASS_ORDER
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    epochs: int = 50
-    learning_rate: float = 1.0
-    l2: float = 0.0
-    seed: int = 0
-    batch_size: int = 32
-
-    def validate(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
-        if not 0 <= self.l2 < math.inf:
-            raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def new_model(d: int, seed: int = 0) -> ClassifierModel:
@@ -171,7 +148,7 @@ def train_classifier(
     Returns the checkpoint from the epoch with the best validation F-score
     (training F-score stands in when no validation set is given).
     Deterministic under the config seed."""
-    config.validate()
+    check(config)
     if not train:
         raise ConfigError("training set is empty")
     d = train[0][0].values.shape[0]

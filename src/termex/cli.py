@@ -13,7 +13,7 @@ from pathlib import Path
 from . import formats
 from .cascade import PipelineModels, extract_from_document, extraction_to_json
 from .classifier import load_classifier, save_classifier, train_classifier
-from .config import RunConfig, default_config_path, load_run_config
+from .config import RunConfig, check_bound, default_config_path, load_run_config
 from .corpus import (
     SentenceLabel,
     annotate,
@@ -22,7 +22,7 @@ from .corpus import (
 )
 from .crf import load_crf, save_crf, train_crf
 from .embeddings import load_embeddings, save_embeddings, train_skipgram
-from .errors import ConfigError, InputDataError, NonFiniteLossError, TermexError
+from .errors import InputDataError, NonFiniteLossError, TermexError
 from .evaluation import (
     evaluate_end_to_end,
     evaluate_spans,
@@ -51,14 +51,11 @@ def _load_config(args) -> RunConfig:
     cfg = load_run_config(args.config or default_config_path())
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.embeddings = replace(cfg.embeddings, seed=args.seed)
-        cfg.classifier = replace(cfg.classifier, seed=args.seed)
     return cfg
 
 
 def cmd_annotate(args) -> int:
-    if args.seed < 0:  # balance would reject it, but only after --out is written
-        raise ConfigError(f"seed must be non-negative, got {args.seed}")
+    check_bound("seed", args.seed, "non-negative")
     gazetteer = formats.read_gazetteer(_require(args.gazetteer, "gazetteer file"))
     docs = formats.read_corpus_jsonl(_require(args.corpus, "corpus file"))
     annotated = [
@@ -68,14 +65,14 @@ def cmd_annotate(args) -> int:
         1 for s in annotated if s.sentence_label is SentenceLabel.CONTAINS_TECH
     )
     negatives = len(annotated) - positives
+    # Balancing can fail on a one-class corpus, so it runs before any write.
+    balanced = balance(annotated, args.seed) if args.balanced_out else None
     formats.write_conll(args.out, annotated)
     print(f"annotated {len(annotated)} sentences -> {args.out}")
     print(f"before balancing: {positives} positive, {negatives} negative")
-    balanced = balance(annotated, args.seed)
-    half = len(balanced) // 2
-    print(f"after balancing: {half} positive, {half} negative")
-    if args.balanced_out:
+    if balanced is not None:
         formats.write_conll(args.balanced_out, balanced)
+        print(f"after balancing: {len(balanced) // 2} positive, {len(balanced) // 2} negative")
         print(f"balanced dataset -> {args.balanced_out}")
     return EXIT_OK
 
@@ -87,7 +84,7 @@ def cmd_train(args) -> int:
         sentences = [s for doc in docs for s in split_document(doc)]
         model = train_skipgram(
             sentences,
-            cfg.embeddings,
+            replace(cfg.embeddings, seed=cfg.seed),
             callback=lambda e, m: print(f"epoch {e}: loss={m['loss']:.6f}"),
         )
         save_embeddings(model, args.out)
@@ -105,7 +102,7 @@ def cmd_train(args) -> int:
         model = train_classifier(
             classifier_examples(embedding, train_set),
             classifier_examples(embedding, val_set),
-            cfg.classifier,
+            replace(cfg.classifier, seed=cfg.seed),
             callback=lambda e, m: print(
                 f"epoch {e}: train_loss={m['train_loss']:.6f} "
                 f"validation_f={m['validation_f']:.4f}"

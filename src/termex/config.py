@@ -1,29 +1,104 @@
-"""Flat INI-style run configuration with one section per pipeline stage.
+"""Every stage's hyperparameters, their bounds, and the flat INI-style run
+configuration with one section per pipeline stage.
 
+Each numeric field declares its bound beside its default (`bound`), and
+`check` holds any config, nested ones included, to those declarations.
 Command-line flags override file values; the TERMEX_CONFIG environment
 variable supplies a default config path."""
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .classifier import ClassifierConfig
 from .corpus import check_ratios
-from .crf import CrfConfig
-from .embeddings import SkipgramConfig
 from .errors import ConfigError
-from .features import FeatureConfig
-from .synth import SynthConfig
 
 ENV_CONFIG = "TERMEX_CONFIG"
+
+# The bounds a field may declare, keyed by their wording in errors. NaN
+# fails each; a float bound open above says "finite", so inf fails it too.
+_BOUNDS = {
+    ">= 1": lambda v: v >= 1,
+    "non-negative": lambda v: v >= 0,
+    "non-negative and finite": lambda v: 0 <= v < math.inf,
+    "positive and finite": lambda v: 0 < v < math.inf,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
+
+
+def bound(rule: str, default=MISSING) -> Field:
+    """A dataclass field whose value must be `rule`, a key of _BOUNDS."""
+    return field(default=default, metadata={"bound": rule})
+
+
+def check_bound(name: str, value, rule: str) -> None:
+    if not _BOUNDS[rule](value):
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+
+
+def check(config) -> None:
+    """Raise ConfigError naming the first field of `config`, or of a config
+    it holds, that breaks its declared bound."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            check(value)
+        elif "bound" in f.metadata:
+            check_bound(f.name, value, f.metadata["bound"])
+    if isinstance(config, FeatureConfig) and config.ngram_max < config.ngram_min:
+        raise ConfigError(f"ngram_max must be >= ngram_min, got {config.ngram_max}")
+
+
+@dataclass(frozen=True)
+class SkipgramConfig:
+    dim: int = bound(">= 1", 300)
+    window: int = bound(">= 1", 5)
+    negatives: int = bound(">= 1", 5)
+    epochs: int = bound("non-negative", 5)
+    learning_rate: float = bound("positive and finite", 0.025)
+    min_count: int = bound(">= 1", 1)
+    seed: int = bound("non-negative", 0)
+
+
+@dataclass(frozen=True)
+class ClassifierConfig:
+    epochs: int = bound("non-negative", 50)
+    learning_rate: float = bound("positive and finite", 1.0)
+    l2: float = bound("non-negative and finite", 0.0)
+    seed: int = bound("non-negative", 0)
+    batch_size: int = bound(">= 1", 32)
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    ngram_min: int = bound(">= 1", 2)
+    ngram_max: int = 4  # `check` holds it to >= ngram_min
+    window: int = bound("non-negative", 4)  # context words on each side, current token excluded
+
+
+@dataclass(frozen=True)
+class CrfConfig:
+    epochs: int = bound("non-negative", 100)  # a cap on L-BFGS steps
+    l2: float = bound("non-negative and finite", 1.0)
+    feature_min_count: int = bound(">= 1", 2)
+    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    n_sentences: int = bound(">= 1")
+    seed: int = bound("non-negative", 0)
+    positive_rate: float = bound("in (0, 1)", 0.5)
+    sentences_per_doc: int = bound(">= 1", 5)
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
+    seed: int = bound("non-negative", 0)  # the one seed of every stage
     corpus_path: str | None = None
     gazetteer_path: str | None = None
     workdir: str = "termex-run"
@@ -45,8 +120,8 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check every stage's config and the split ratios before any work."""
-        for stage in (self.embeddings, self.classifier, self.synth(), self.crf):
-            stage.validate()
+        check(self)
+        check(self.synth())
         check_ratios(self.ratios)
 
 
@@ -55,7 +130,7 @@ def default_config_path() -> str | None:
 
 
 # A stage section holds the int and float fields of its configs (the CRF's
-# feature config is flattened into [crf]); the seeds come from [main].
+# feature config is flattened into [crf]); the seed comes from [main].
 _CASTS = {"int": int, "float": float}
 _STAGES = {
     "embeddings": (SkipgramConfig,),
@@ -144,8 +219,8 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         synth, "sentences_per_doc", int, cfg.synth_sentences_per_doc
     )
 
-    cfg.embeddings = _read(_section(parser, "embeddings"), cfg.embeddings, seed=cfg.seed)
-    cfg.classifier = _read(_section(parser, "classifier"), cfg.classifier, seed=cfg.seed)
+    cfg.embeddings = _read(_section(parser, "embeddings"), cfg.embeddings)
+    cfg.classifier = _read(_section(parser, "classifier"), cfg.classifier)
     crf = _section(parser, "crf")
     cfg.crf = _read(crf, cfg.crf, feature_config=_read(crf, cfg.crf.feature_config))
     return cfg

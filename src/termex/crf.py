@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -13,9 +12,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import modelio
+from .config import CrfConfig, FeatureConfig, check
 from .corpus import TokenLabel
 from .errors import ConfigError, LengthMismatchError, ModelFormatError
-from .features import PSEQ, SHSEQ, TEMPLATES, FeatureConfig, FeatureIndex, text_share, walk
+from .features import PSEQ, SHSEQ, TEMPLATES, FeatureIndex, text_share, walk
 
 MAGIC = b"TXCRF"
 VERSION = 1
@@ -273,25 +273,6 @@ def viterbi(
     return viterbi_from_table(potentials(model, features_per_position))
 
 
-@dataclass(frozen=True)
-class CrfConfig:
-    epochs: int = 100  # a cap on L-BFGS steps
-    l2: float = 1.0
-    feature_min_count: int = 2
-    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
-
-    def validate(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if not 0 <= self.l2 < math.inf:
-            raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
-        if self.feature_min_count < 1:
-            raise ConfigError(
-                f"feature_min_count must be >= 1, got {self.feature_min_count}"
-            )
-        self.feature_config.validate()
-
-
 @dataclass
 class PreparedDataset:
     """Training sequences with their feature ids in one flat array.
@@ -443,7 +424,7 @@ def train_crf(
     callback(step, metrics) gets the objective, the nll (minus the objective
     without its l2 penalty), the gradient norm and the objective evaluations
     so far."""
-    config.validate()
+    check(config)
     if not dataset:
         raise ConfigError("training dataset is empty")
     index = FeatureIndex.build(
@@ -503,7 +484,7 @@ def load_crf(path: str | Path) -> CrfModel:
         transition = modelio.read_matrix(fh, (3, 2))
         modelio.read_end(fh)
     try:
-        feature_config.validate()
+        check(feature_config)
     except ConfigError as exc:
         raise ModelFormatError(f"bad feature config in the CRF model: {exc}") from exc
     index = FeatureIndex(strings)

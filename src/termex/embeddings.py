@@ -3,7 +3,6 @@ scratch, plus averaged sentence vectors for the downstream classifier."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -11,6 +10,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import modelio
+from .config import SkipgramConfig, check
 from .corpus import Sentence
 from .errors import (
     ConfigError,
@@ -59,33 +59,6 @@ class SentenceVector:
     values: np.ndarray
     contributing_count: int  # in-vocabulary tokens
     punctuation_only: bool = False  # some in-vocabulary tokens, all punctuation
-
-
-@dataclass(frozen=True)
-class SkipgramConfig:
-    dim: int = 300
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    learning_rate: float = 0.025
-    min_count: int = 1
-    seed: int = 0
-
-    def validate(self) -> None:
-        positive = {
-            "dim": self.dim,
-            "window": self.window,
-            "negatives": self.negatives,
-            "learning_rate": self.learning_rate,
-            "min_count": self.min_count,
-        }
-        for name, value in positive.items():
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def build_vocab(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:
@@ -382,7 +355,7 @@ def train_skipgram(
     distribution, once per epoch; the learning rate decays linearly to 1e-4
     of its initial value over the total pair count. Runs are
     bit-reproducible under a fixed seed. The model keeps the input vectors only."""
-    config.validate()
+    check(config)
     corpus = list(corpus)
     if not corpus:
         raise ConfigError("corpus is empty")

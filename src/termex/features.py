@@ -7,12 +7,11 @@ import functools
 import itertools
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .config import FeatureConfig
 from .corpus import Sentence
-from .errors import ConfigError
 
 
 class CoarsePosTag(Enum):
@@ -22,21 +21,6 @@ class CoarsePosTag(Enum):
     NUM = "NUM"
     PUNCT = "PUNCT"
     SYM = "SYM"
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    ngram_min: int = 2
-    ngram_max: int = 4
-    window: int = 4  # context words on each side, current token excluded
-
-    def validate(self) -> None:
-        if self.ngram_min < 1:
-            raise ConfigError(f"ngram_min must be >= 1, got {self.ngram_min}")
-        if self.ngram_max < self.ngram_min:
-            raise ConfigError(f"ngram_max must be >= ngram_min, got {self.ngram_max}")
-        if self.window < 0:
-            raise ConfigError(f"window must be non-negative, got {self.window}")
 
 
 DEFAULT_FEATURES = FeatureConfig()

@@ -4,7 +4,7 @@ trained models, and evaluation reports out."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -103,14 +103,16 @@ def run_pipeline(
     formats.write_conll(out / "validation.tsv", split.validation)
     formats.write_conll(out / "test.tsv", split.test)
 
-    embedding = train_skipgram([s.sentence for s in annotated], cfg.embeddings)
+    embedding = train_skipgram(
+        [s.sentence for s in annotated], replace(cfg.embeddings, seed=cfg.seed)
+    )
     save_embeddings(embedding, out / "embeddings.bin")
     say(f"trained embeddings: |V|={len(embedding.vocab)}, dim={embedding.dim}")
 
     classifier = train_classifier(
         classifier_examples(embedding, split.train),
         classifier_examples(embedding, split.validation),
-        cfg.classifier,
+        replace(cfg.classifier, seed=cfg.seed),
     )
     save_classifier(classifier, out / "classifier.bin")
     say("trained sentence classifier")

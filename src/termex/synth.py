@@ -7,8 +7,8 @@ generated text reproduces the gold labels exactly."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from .config import SynthConfig, check
 from .corpus import (
     Document,
     Gazetteer,
@@ -59,28 +59,6 @@ DISTRACTOR = (
 STRUCTURAL = list(dict.fromkeys(s for t in POSITIVE + DISTRACTOR for s in t if s.islower()))
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    n_sentences: int
-    seed: int = 0
-    positive_rate: float = 0.5
-    sentences_per_doc: int = 5
-
-    def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.n_sentences < 1:
-            raise ConfigError(f"n_sentences must be >= 1, got {self.n_sentences}")
-        if not 0.0 < self.positive_rate < 1.0:
-            raise ConfigError(
-                f"positive_rate must be in (0, 1), got {self.positive_rate}"
-            )
-        if self.sentences_per_doc < 1:
-            raise ConfigError(
-                f"sentences_per_doc must be >= 1, got {self.sentences_per_doc}"
-            )
-
-
 def _detokenize(words: list[str]) -> str:
     """Join with spaces, attaching the terminal period to the last word."""
     out = " ".join(words[:-1]) if words[-1] == "." else " ".join(words)
@@ -102,7 +80,7 @@ def generate_corpus(
     Raises ConfigError for gazetteers the templates cannot host safely
     (e.g. entries colliding with template glue, or terms whose spelling
     does not survive tokenization and sentence splitting)."""
-    config.validate()
+    check(config)
     reserved = {tok for entry in gazetteer.entries for tok in entry}
     for word in STRUCTURAL:
         if word in reserved:

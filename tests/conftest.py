@@ -99,10 +99,8 @@ def fast_config(gazetteer_path: str, n_sentences: int = 400, seed: int = 0) -> R
     cfg.seed = seed
     cfg.gazetteer_path = gazetteer_path
     cfg.synth_sentences = n_sentences
-    cfg.embeddings = SkipgramConfig(
-        dim=32, window=5, negatives=5, epochs=3, learning_rate=0.05, seed=seed
-    )
-    cfg.classifier = ClassifierConfig(epochs=30, learning_rate=1.0, seed=seed)
+    cfg.embeddings = SkipgramConfig(dim=32, window=5, negatives=5, epochs=3, learning_rate=0.05)
+    cfg.classifier = ClassifierConfig(epochs=30, learning_rate=1.0)
     cfg.crf = CrfConfig(epochs=40)
     return cfg
 

@@ -110,6 +110,24 @@ class TestAnnotate:
             outs.append((out.read_bytes(), balanced.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_one_class_corpus_balances_only_when_asked(self, tmp_path, capsys):
+        corpus = tmp_path / "one.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "d1", "text": "We use Apache Hive."}) + "\n", encoding="utf-8"
+        )
+        gz = tmp_path / "gazetteer.txt"
+        gz.write_text("Apache Hive\n", encoding="utf-8")
+        argv = ["annotate", "--corpus", str(corpus), "--gazetteer", str(gz)]
+        out = tmp_path / "annotated.tsv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("-DOCSTART- d1\nWe\tO\n")
+        capsys.readouterr()
+
+        out, balanced = tmp_path / "annotated-2.tsv", tmp_path / "balanced.tsv"
+        assert main([*argv, "--out", str(out), "--balanced-out", str(balanced)]) == 2
+        assert "cannot balance 1 positive vs 0 negative" in capsys.readouterr().err
+        assert not out.exists() and not balanced.exists()
+
     def test_missing_input_exits_2(self, tmp_path, gazetteer_file):
         assert main([
             "annotate", "--corpus", str(tmp_path / "missing.jsonl"),
@@ -257,6 +275,18 @@ class TestRejectedConfig:
         ])
         self.assert_rejected(code, capsys, "seed must be non-negative, got -5")
         assert not out.exists() and not balanced.exists()
+
+    def test_negative_annotate_seed_without_balancing_writes_nothing(
+        self, synth_corpus, gazetteer_file, tmp_path, capsys
+    ):
+        corpus, _ = synth_corpus
+        out = tmp_path / "annotated.tsv"
+        code = main([
+            "annotate", "--corpus", str(corpus), "--gazetteer", gazetteer_file,
+            "--out", str(out), "--seed", "-5",
+        ])
+        self.assert_rejected(code, capsys, "seed must be non-negative, got -5")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "stage, key, value",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termex import crf
+from termex.config import check
 from termex.corpus import LabeledSentence, Sentence, Token, TokenLabel
 from termex.crf import (
     CrfConfig,
@@ -1203,13 +1204,13 @@ class TestTraining:
     )
     def test_bad_feature_config_rejected(self, features):
         with pytest.raises(ConfigError):
-            features.validate()
+            check(features)
         with pytest.raises(ConfigError):
-            CrfConfig(feature_config=features).validate()
+            check(CrfConfig(feature_config=features))
 
     def test_edge_feature_configs_validate(self):
         for features in (FeatureConfig(1, 1, 0), FeatureConfig(3, 3, 1), *ORACLE_CONFIGS):
-            CrfConfig(feature_config=features).validate()
+            check(CrfConfig(feature_config=features))
 
     def test_no_feature_at_min_count_trains_the_transitions(self):
         """A dataset in which no feature fires twice keeps no feature at the

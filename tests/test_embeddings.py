@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termex import embeddings
+from termex.config import check
 from termex.corpus import Sentence, Token
 from termex.embeddings import (
     BLOCK,
@@ -119,7 +120,7 @@ def reference_train_skipgram(corpus, config, callback=None):
     """train_skipgram as one loop: a mask per step, one draw of negatives
     per sentence and epoch, and the step above. train_skipgram must match
     it bit for bit."""
-    config.validate()
+    check(config)
     vocab = build_vocab(corpus, config.min_count)
     rng = np.random.default_rng(config.seed)
     input_vectors = (rng.random((len(vocab), config.dim)) - 0.5) / config.dim
@@ -555,9 +556,9 @@ class TestTraining:
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
-            SkipgramConfig(dim=0).validate()
+            check(SkipgramConfig(dim=0))
         with pytest.raises(ConfigError):
-            SkipgramConfig(learning_rate=-1.0).validate()
+            check(SkipgramConfig(learning_rate=-1.0))
         with pytest.raises(ConfigError):
             train_skipgram([], SkipgramConfig())
 
